@@ -22,7 +22,14 @@
 //! XHR open, sendBeacon, requestAnimationFrame, ...); the long tail are
 //! plausible stubs. Either way every call flows through the prototype chain,
 //! which is what the instrumentation patches.
+//!
+//! No native captures per-page state. Natives capture only what every page
+//! shares (the prototype map); the page's [`HostEnv`] and feature log are
+//! installed into the interpreter ([`Interpreter::set_host`]) and reached
+//! through the `&mut Interpreter` each native is called with. That is what
+//! lets [`crate::Browser`] boot one realm and start every page from a copy.
 
+use crate::log::FeatureLog;
 use crate::timers::TimerQueue;
 use bfu_dom::{Document, EventRegistry, NodeId};
 use bfu_net::{ResourceType, Url};
@@ -110,6 +117,60 @@ pub struct ApiSurface {
 /// Hidden property marking an object's interface for the instrumentation.
 pub const IFACE_MARKER: &str = "__iface";
 
+/// The per-page state natives reach through the interpreter they are called
+/// with: the page's host environment and its feature log.
+#[derive(Debug)]
+pub(crate) struct PageState {
+    pub(crate) host: Rc<RefCell<HostEnv>>,
+    pub(crate) log: Rc<RefCell<FeatureLog>>,
+}
+
+/// Install a page's host and log into `interp`, for its natives to find.
+pub(crate) fn set_page(
+    interp: &mut Interpreter,
+    host: Rc<RefCell<HostEnv>>,
+    log: Rc<RefCell<FeatureLog>>,
+) {
+    interp.set_host(Rc::new(PageState { host, log }));
+}
+
+/// The page state installed into `interp` (every realm built by [`install`]
+/// has one).
+pub(crate) fn page(interp: &Interpreter) -> Result<Rc<PageState>, RuntimeError> {
+    interp
+        .host::<PageState>()
+        .ok_or_else(|| RuntimeError::TypeError("native called outside a page realm".into()))
+}
+
+/// Point a realm at a page: install the page's host and log, set
+/// `location.href`, and back the `document` singleton by the page's DOM
+/// root. These are the only per-page values [`install`] leaves in a realm,
+/// so applying this to a copy of a booted realm (`realm` is the surface it
+/// was booted with) yields the realm [`install`] would have built for the
+/// page.
+pub(crate) fn attach_page(
+    interp: &mut Interpreter,
+    realm: &ApiSurface,
+    host: Rc<RefCell<HostEnv>>,
+    log: Rc<RefCell<FeatureLog>>,
+) -> ApiSurface {
+    set_page(interp, host.clone(), log);
+    if let Some(location) = interp.get_global("location").as_obj() {
+        let href = host.borrow().base_url.to_string();
+        interp.heap.set_prop_raw(location, "href", Value::str(href));
+    }
+    if let Some(&(_, doc_obj)) = realm.singletons.iter().find(|(n, _)| n == "document") {
+        let root = host.borrow().doc.root();
+        interp.heap.get_mut(doc_obj).host_tag = Some(u64::from(root.raw()));
+        host.borrow_mut().node_objs.insert(root, doc_obj);
+    }
+    ApiSurface {
+        prototypes: Rc::clone(&realm.prototypes),
+        singletons: realm.singletons.clone(),
+        host,
+    }
+}
+
 /// Map an HTML tag to the interface backing its element objects.
 fn interface_for_tag(tag: &str) -> &'static str {
     match tag {
@@ -182,7 +243,8 @@ fn make_array(interp: &mut Interpreter, items: &[Value]) -> Value {
     Value::Obj(arr)
 }
 
-/// Install the full API surface into `interp`.
+/// Install the full API surface into `interp`, with `host` (and an empty
+/// feature log) installed as the page state its natives act on.
 pub fn install(
     interp: &mut Interpreter,
     registry: &FeatureRegistry,
@@ -238,7 +300,7 @@ pub fn install(
             continue;
         }
         let proto = protos[&f.interface];
-        let native = behavior_native(interp, &f.interface, &f.member, &host, &protos);
+        let native = behavior_native(interp, &f.interface, &f.member, &protos);
         interp.heap.set_prop_raw(proto, &f.member, native);
     }
 
@@ -262,19 +324,9 @@ pub fn install(
     interp
         .heap
         .set_prop_raw(window, "window", Value::Obj(window));
-    // document is backed by the DOM root.
-    let doc_obj = singletons[1].1;
-    {
-        let root = host.borrow().doc.root();
-        interp.heap.get_mut(doc_obj).host_tag = Some(u64::from(root.raw()));
-        host.borrow_mut().node_objs.insert(root, doc_obj);
-    }
-    // location: a plain object, not part of the registry surface here.
+    // location: a plain object, not part of the registry surface here. Its
+    // `href` is per-page, set by `attach_page` below.
     let location = interp.heap.alloc(None);
-    let href = host.borrow().base_url.to_string();
-    interp
-        .heap
-        .set_prop_raw(location, "href", Value::str(&href));
     interp
         .heap
         .set_prop_raw(window, "location", Value::Obj(location));
@@ -299,18 +351,19 @@ pub fn install(
     }
 
     // 5. Plumbing globals (not registry features; uncounted by design).
-    install_plumbing(interp, &host);
+    install_plumbing(interp);
 
-    ApiSurface {
+    let booted = ApiSurface {
         prototypes: protos,
         singletons,
         host,
-    }
+    };
+    let log = Rc::new(RefCell::new(FeatureLog::new()));
+    attach_page(interp, &booted, booted.host.clone(), log)
 }
 
-fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
-    let h = host.clone();
-    let set_timeout = interp.register_native(Rc::new(move |_, _, args| {
+fn install_plumbing(interp: &mut Interpreter) {
+    let set_timeout = interp.register_native(Rc::new(|i, _, args| {
         let cb = args.first().cloned().unwrap_or(Value::Undefined);
         let ms = args.get(1).map(|v| v.to_number()).unwrap_or(0.0);
         let ms = if ms.is_finite() && ms >= 0.0 {
@@ -318,15 +371,15 @@ fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
         } else {
             0
         };
-        let mut host = h.borrow_mut();
+        let page = page(i)?;
+        let mut host = page.host.borrow_mut();
         let now = host.now;
         let id = host.timers.schedule(cb, now, ms);
         Ok(Value::Num(f64::from(id)))
     }));
     interp.set_global("setTimeout", set_timeout);
 
-    let h = host.clone();
-    let set_interval = interp.register_native(Rc::new(move |_, _, args| {
+    let set_interval = interp.register_native(Rc::new(|i, _, args| {
         let cb = args.first().cloned().unwrap_or(Value::Undefined);
         let ms = args.get(1).map(|v| v.to_number()).unwrap_or(0.0);
         let ms = if ms.is_finite() && ms >= 1.0 {
@@ -334,18 +387,18 @@ fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
         } else {
             1
         };
-        let mut host = h.borrow_mut();
+        let page = page(i)?;
+        let mut host = page.host.borrow_mut();
         let now = host.now;
         let id = host.timers.schedule_repeating(cb, now, ms);
         Ok(Value::Num(f64::from(id)))
     }));
     interp.set_global("setInterval", set_interval);
 
-    let h = host.clone();
-    let clear = interp.register_native(Rc::new(move |_, _, args| {
+    let clear = interp.register_native(Rc::new(|i, _, args| {
         if let Some(id) = args.first().map(|v| v.to_number()) {
             if id.is_finite() && id >= 0.0 {
-                h.borrow_mut().timers.cancel(id as u32);
+                page(i)?.host.borrow_mut().timers.cancel(id as u32);
             }
         }
         Ok(Value::Undefined)
@@ -359,12 +412,12 @@ fn install_plumbing(interp: &mut Interpreter, host: &Rc<RefCell<HostEnv>>) {
     // feature set equals its planned feature set exactly. Real pages would
     // use `addEventListener` (a DOM2-E feature); planned DOM2-E usage still
     // calls the real, instrumented `addEventListener`.
-    let h = host.clone();
-    let listen = interp.register_native(Rc::new(move |_, _, args| {
+    let listen = interp.register_native(Rc::new(|i, _, args| {
         let sel_src = args.first().map(|v| v.to_display()).unwrap_or_default();
         let ev_type = args.get(1).map(|v| v.to_display()).unwrap_or_default();
         let cb = args.get(2).cloned().unwrap_or(Value::Undefined);
-        let mut hh = h.borrow_mut();
+        let page = page(i)?;
+        let mut hh = page.host.borrow_mut();
         let node = hh
             .compile_selector(&sel_src)
             .and_then(|s| s.query_first(&hh.doc))
@@ -381,32 +434,34 @@ fn behavior_native(
     interp: &mut Interpreter,
     interface: &str,
     member: &str,
-    host: &Rc<RefCell<HostEnv>>,
     protos: &Rc<HashMap<String, ObjId>>,
 ) -> Value {
-    let host = host.clone();
     let protos = protos.clone();
     match (interface, member) {
         ("Document", "createElement") => interp.register_native(Rc::new(move |i, _, args| {
             let tag = args.first().map(|v| v.to_display()).unwrap_or_default();
+            let host = page(i)?.host.clone();
             let node = host.borrow_mut().doc.create_element(&tag);
             Ok(wrap_node(i, &host, &protos, node))
         })),
-        ("Node", "appendChild") => interp.register_native(Rc::new(move |i, this, args| {
+        ("Node", "appendChild") => interp.register_native(Rc::new(|i, this, args| {
             let (Some(parent), Some(child)) =
                 (node_of(i, &this), args.first().and_then(|a| node_of(i, a)))
             else {
                 return Err(RuntimeError::TypeError("appendChild needs nodes".into()));
             };
-            if !host.borrow().doc.is_ancestor(child, parent) {
-                host.borrow_mut().doc.append_child(parent, child);
+            let page = page(i)?;
+            if !page.host.borrow().doc.is_ancestor(child, parent) {
+                page.host.borrow_mut().doc.append_child(parent, child);
             }
             Ok(args[0].clone())
         })),
-        ("Node", "insertBefore") => interp.register_native(Rc::new(move |i, this, args| {
+        ("Node", "insertBefore") => interp.register_native(Rc::new(|i, this, args| {
             let parent = node_of(i, &this);
             let child = args.first().and_then(|a| node_of(i, a));
             let reference = args.get(1).and_then(|a| node_of(i, a));
+            let page = page(i)?;
+            let host = &page.host;
             match (parent, child, reference) {
                 (Some(p), Some(c), Some(r))
                     if host.borrow().doc.children(p).contains(&r)
@@ -425,12 +480,13 @@ fn behavior_native(
             let Some(node) = node_of(i, &this) else {
                 return Err(RuntimeError::TypeError("cloneNode needs a node".into()));
             };
+            let host = page(i)?.host.clone();
             let copy = host.borrow_mut().doc.clone_subtree(node);
             Ok(wrap_node(i, &host, &protos, copy))
         })),
-        ("Element", "remove") => interp.register_native(Rc::new(move |i, this, _| {
+        ("Element", "remove") => interp.register_native(Rc::new(|i, this, _| {
             if let Some(node) = node_of(i, &this) {
-                host.borrow_mut().doc.detach(node);
+                page(i)?.host.borrow_mut().doc.detach(node);
             }
             Ok(Value::Undefined)
         })),
@@ -438,6 +494,7 @@ fn behavior_native(
             let first_only = member == "querySelector";
             interp.register_native(Rc::new(move |i, _, args| {
                 let sel_src = args.first().map(|v| v.to_display()).unwrap_or_default();
+                let host = page(i)?.host.clone();
                 let Some(sel) = host.borrow_mut().compile_selector(&sel_src) else {
                     return Ok(if first_only {
                         Value::Null
@@ -459,21 +516,21 @@ fn behavior_native(
                 Ok(make_array(i, &items))
             }))
         }
-        ("EventTarget", "addEventListener") => {
-            interp.register_native(Rc::new(move |i, this, args| {
-                let ev_type = args.first().map(|v| v.to_display()).unwrap_or_default();
-                let cb = args.get(1).cloned().unwrap_or(Value::Undefined);
-                let capture = args.get(2).map(|v| v.truthy()).unwrap_or(false);
-                let node = node_of(i, &this).unwrap_or(host.borrow().doc.root());
-                let mut h = host.borrow_mut();
-                let handle = h.add_listener_value(cb);
-                h.events.add_listener(node, &ev_type, handle, capture);
-                Ok(Value::Undefined)
-            }))
-        }
-        ("XMLHttpRequest", "open") => interp.register_native(Rc::new(move |i, this, args| {
+        ("EventTarget", "addEventListener") => interp.register_native(Rc::new(|i, this, args| {
+            let ev_type = args.first().map(|v| v.to_display()).unwrap_or_default();
+            let cb = args.get(1).cloned().unwrap_or(Value::Undefined);
+            let capture = args.get(2).map(|v| v.truthy()).unwrap_or(false);
+            let page = page(i)?;
+            let node = node_of(i, &this).unwrap_or(page.host.borrow().doc.root());
+            let mut h = page.host.borrow_mut();
+            let handle = h.add_listener_value(cb);
+            h.events.add_listener(node, &ev_type, handle, capture);
+            Ok(Value::Undefined)
+        })),
+        ("XMLHttpRequest", "open") => interp.register_native(Rc::new(|i, this, args| {
             let url_str = args.get(1).map(|v| v.to_display()).unwrap_or_default();
-            let mut h = host.borrow_mut();
+            let page = page(i)?;
+            let mut h = page.host.borrow_mut();
             if let Ok(url) = h.base_url.join(&url_str) {
                 h.pending_requests.push((url.clone(), ResourceType::Xhr));
                 if let Some(obj) = this.as_obj() {
@@ -483,39 +540,40 @@ fn behavior_native(
             }
             Ok(Value::Undefined)
         })),
-        ("Navigator", "sendBeacon") => interp.register_native(Rc::new(move |_, _, args| {
+        ("Navigator", "sendBeacon") => interp.register_native(Rc::new(|i, _, args| {
             let url_str = args.first().map(|v| v.to_display()).unwrap_or_default();
-            let mut h = host.borrow_mut();
+            let page = page(i)?;
+            let mut h = page.host.borrow_mut();
             if let Ok(url) = h.base_url.join(&url_str) {
                 h.pending_requests.push((url, ResourceType::Beacon));
             }
             Ok(Value::Bool(true))
         })),
-        ("Window", "fetch") => interp.register_native(Rc::new(move |i, _, args| {
+        ("Window", "fetch") => interp.register_native(Rc::new(|i, _, args| {
             let url_str = args.first().map(|v| v.to_display()).unwrap_or_default();
-            let mut h = host.borrow_mut();
+            let page = page(i)?;
+            let mut h = page.host.borrow_mut();
             if let Ok(url) = h.base_url.join(&url_str) {
                 h.pending_requests.push((url, ResourceType::Xhr));
             }
             Ok(Value::Obj(i.heap.alloc(None))) // a promise-shaped token
         })),
-        ("Window", "requestAnimationFrame") => {
-            interp.register_native(Rc::new(move |_, _, args| {
-                let cb = args.first().cloned().unwrap_or(Value::Undefined);
-                let mut h = host.borrow_mut();
-                let now = h.now;
-                let id = h.timers.schedule(cb, now, 16);
-                Ok(Value::Num(f64::from(id)))
-            }))
-        }
+        ("Window", "requestAnimationFrame") => interp.register_native(Rc::new(|i, _, args| {
+            let cb = args.first().cloned().unwrap_or(Value::Undefined);
+            let page = page(i)?;
+            let mut h = page.host.borrow_mut();
+            let now = h.now;
+            let id = h.timers.schedule(cb, now, 16);
+            Ok(Value::Num(f64::from(id)))
+        })),
         ("HTMLCanvasElement", "getContext") => {
             let ctx_proto = protos.get("CanvasRenderingContext2D").copied();
             interp.register_native(Rc::new(move |i, _, _| {
                 Ok(Value::Obj(i.heap.alloc(ctx_proto)))
             }))
         }
-        ("Performance", "now") => interp.register_native(Rc::new(move |_, _, _| {
-            Ok(Value::Num(host.borrow().now.millis() as f64))
+        ("Performance", "now") => interp.register_native(Rc::new(|i, _, _| {
+            Ok(Value::Num(page(i)?.host.borrow().now.millis() as f64))
         })),
         ("Crypto", "getRandomValues") => interp.register_native(Rc::new(move |_, _, args| {
             Ok(args.first().cloned().unwrap_or(Value::Undefined))

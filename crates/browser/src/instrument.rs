@@ -19,8 +19,13 @@
 //!
 //! Installation happens after the API surface is built and **before any page
 //! script runs**, mirroring the paper's injection at the start of `<head>`.
+//!
+//! Like the API natives, the wrappers and the watch handler capture nothing
+//! per-page: each records into the feature log of the page whose
+//! interpreter calls it, and the wrappers hold the watch handler's object
+//! id rather than looking it up anywhere page code could reach.
 
-use crate::api::{ApiSurface, IFACE_MARKER};
+use crate::api::{self, ApiSurface, IFACE_MARKER};
 use crate::log::FeatureLog;
 use bfu_script::interp::Interpreter;
 use bfu_script::object::ObjId;
@@ -34,10 +39,10 @@ use std::rc::Rc;
 /// property features — the table the property-write watcher resolves against.
 ///
 /// Building it walks every registry feature and clones its interface/member
-/// strings, which is far too expensive to redo on every page load (the
-/// registry never changes between loads). The browser builds one per
-/// registry and shares it across every install; [`Instrumentation::install`]
-/// builds a throwaway one for callers that don't keep a browser around.
+/// strings, so callers that install the extension many times over one
+/// registry build it once and pass it to
+/// [`Instrumentation::install_with_index`]; [`Instrumentation::install`]
+/// builds a throwaway one.
 #[derive(Debug, Clone)]
 pub struct PropIndex(Rc<HashMap<(String, String), bfu_webidl::FeatureId>>);
 
@@ -73,9 +78,9 @@ pub struct Instrumentation {
 impl Instrumentation {
     /// Install the measuring extension, building a fresh [`PropIndex`].
     ///
-    /// One-shot convenience for tests and embedders without a [`crate::Browser`];
-    /// the browser's load path uses [`Instrumentation::install_with_index`]
-    /// so the index is built once per registry, not once per page.
+    /// One-shot convenience for tests and embedders without a
+    /// [`crate::Browser`] (which installs the extension once, into the realm
+    /// every page is copied from).
     pub fn install(
         interp: &mut Interpreter,
         api: &ApiSurface,
@@ -94,11 +99,12 @@ impl Instrumentation {
         log: Rc<RefCell<FeatureLog>>,
         prop_index: &PropIndex,
     ) -> Instrumentation {
+        api::set_page(interp, api.host.clone(), log.clone());
+
         // --- property-write watcher -------------------------------------
         // Resolves (this.__iface, propName) against the registry; writes to
         // unknown pairs and internal (`__`-prefixed) props are ignored.
         let prop_index = Rc::clone(&prop_index.0);
-        let watch_log = log.clone();
         let iface_marker = bfu_util::Atom::intern(IFACE_MARKER);
         let watch_handler = interp.register_native_obj(Rc::new(move |i, this, args| {
             let prop = args.first().map(|v| v.to_display()).unwrap_or_default();
@@ -116,7 +122,7 @@ impl Instrumentation {
                     if let Some(iface) = iface {
                         let key = (iface.to_display(), prop.clone());
                         if let Some(&fid) = prop_index.get(&key) {
-                            watch_log.borrow_mut().record(fid);
+                            api::page(i)?.log.borrow_mut().record(fid);
                             break;
                         }
                     }
@@ -143,18 +149,14 @@ impl Instrumentation {
             let fid = bfu_webidl::FeatureId::from_usize(ix);
             let proto = api.prototypes[&f.interface];
             let original = interp.heap.get_prop(proto, &f.member);
-            let wrapper_log = log.clone();
             let wrapper = interp.register_native(Rc::new(move |i, this, args| {
-                wrapper_log.borrow_mut().record(fid);
+                api::page(i)?.log.borrow_mut().record(fid);
                 let result = i.call_value(&original, this, args)?;
                 // Attach the watch to any fresh object the API hands out, so
                 // subsequent property writes on it are attributable.
                 if let Some(out_obj) = result.as_obj() {
                     if i.heap.get(out_obj).watch_all.is_none() && !i.heap.is_callable(out_obj) {
-                        // handler id is threaded via a global (set below).
-                        if let Some(h) = i.get_global("__bfu_watch").as_obj() {
-                            i.heap.watch(out_obj, h);
-                        }
+                        i.heap.watch(out_obj, watch_handler);
                     }
                 }
                 Ok(result)
@@ -165,7 +167,6 @@ impl Instrumentation {
         // Wrap constructors so `new XMLHttpRequest()` instances get watched.
         // The `new` machinery allocates the instance and passes it as `this`
         // to the constructor — our wrapper watches it there.
-        interp.set_global("__bfu_watch", Value::Obj(watch_handler));
         for (name, &_proto) in api.prototypes.iter() {
             let ctor = interp.get_global(name);
             let Some(ctor_obj) = ctor.as_obj() else {
@@ -177,9 +178,7 @@ impl Instrumentation {
             let inner = ctor.clone();
             let wrapped_obj = interp.register_native_obj(Rc::new(move |i, this, args| {
                 if let Some(instance) = this.as_obj() {
-                    if let Some(h) = i.get_global("__bfu_watch").as_obj() {
-                        i.heap.watch(instance, h);
-                    }
+                    i.heap.watch(instance, watch_handler);
                 }
                 i.call_value(&inner, this, args)
             }));
@@ -310,6 +309,33 @@ mod tests {
         let member = feat.member.clone();
         r.interp
             .run_source(&format!("var o = new {iface}(); o.{member} = 'x';"))
+            .unwrap();
+        let fid = r.registry.by_name(&feat.name).unwrap();
+        assert_eq!(r.log.borrow().count(fid), 1, "{}", feat.name);
+    }
+
+    #[test]
+    fn page_code_cannot_switch_off_instance_write_attribution() {
+        // The wrappers hold the watch handler themselves: no global page
+        // code could overwrite stands between an instance and its watch.
+        let mut r = rig();
+        let feat = r
+            .registry
+            .features()
+            .iter()
+            .find(|f| {
+                f.kind == FeatureKind::Property
+                    && !matches!(
+                        f.interface.as_str(),
+                        "Window" | "Document" | "Navigator" | "Performance"
+                    )
+            })
+            .expect("instance property feature exists");
+        let (iface, member) = (&feat.interface, &feat.member);
+        r.interp
+            .run_source(&format!(
+                "__bfu_watch = 0; var o = new {iface}(); o.{member} = 'x';"
+            ))
             .unwrap();
         let fid = r.registry.by_name(&feat.name).unwrap();
         assert_eq!(r.log.borrow().count(fid), 1, "{}", feat.name);

@@ -7,10 +7,11 @@
 //! A [`page::Page`] is loaded through the full pipeline: fetch the document
 //! over `bfu-net`, parse HTML into a `bfu-dom` tree, fetch subresources
 //! (scripts, images, frames) subject to any installed [`RequestPolicy`]
-//! (blockers), bind the 1,392-feature Web API surface onto a fresh
-//! `bfu-script` interpreter, inject the instrumentation extension *before*
-//! page scripts run (the paper injects at the start of `<head>`), execute
-//! scripts, and then run timers and dispatched events on a virtual clock.
+//! (blockers), start the page in its own copy of the browser's booted
+//! `bfu-script` realm — the 1,392-feature Web API surface with the
+//! instrumentation extension already injected *before* page scripts run (the
+//! paper injects at the start of `<head>`) — execute scripts, and then run
+//! timers and dispatched events on a virtual clock.
 //!
 //! - [`api`] — Web API bindings: every registry feature becomes a callable
 //!   method or watchable property on the right prototype object.

@@ -1,11 +1,20 @@
 //! Page loading and interaction: the browser engine proper.
 //!
 //! [`Browser::load`] runs the full pipeline — fetch the document, parse it,
-//! install the API surface, inject the instrumentation *before page scripts
-//! run* (the paper's extension injects at the start of `<head>`), apply the
-//! blockers' element-hiding rules, then fetch and execute subresources in
-//! document order, consulting the [`RequestPolicy`] for every request the
-//! way AdBlock Plus and Ghostery intercept loads.
+//! start the page's script realm with the API surface and the
+//! instrumentation already in place *before page scripts run* (the paper's
+//! extension injects at the start of `<head>`), apply the blockers'
+//! element-hiding rules, then fetch and execute subresources in document
+//! order, consulting the [`RequestPolicy`] for every request the way AdBlock
+//! Plus and Ghostery intercept loads.
+//!
+//! Booting a realm — a fresh interpreter, [`api::install`] over all 1,392
+//! features, then [`Instrumentation::install_with_index`] — is the same for
+//! every page, so a [`Browser`] does it once, on its first load, and starts
+//! each page from a copy of that booted realm. The copy shares nothing
+//! mutable with the booted realm or with other pages: natives reach the
+//! page's host and log through the interpreter that calls them (see
+//! [`crate::api`]).
 //!
 //! The resulting [`Page`] exposes the interaction surface the monkey
 //! ([`bfu-monkey`]) drives: event dispatch, virtual timers, link extraction,
@@ -15,7 +24,7 @@ use crate::api::{self, ApiSurface, HostEnv};
 use crate::cache::{extract_frame_scripts, CompileCache, FrameScript};
 use crate::instrument::{Instrumentation, PropIndex};
 use crate::log::FeatureLog;
-use bfu_dom::{html, NodeId};
+use bfu_dom::{html, Document, NodeId};
 use bfu_net::{HttpRequest, NetError, ResourceType, SimNet, Url};
 use bfu_script::cache::{CacheOutcome, ChunkError};
 use bfu_script::interp::Interpreter;
@@ -120,6 +129,10 @@ impl BrowserConfig {
 }
 
 /// The browser: a registry plus configuration; `load` produces pages.
+///
+/// A browser boots its instrumented realm once, on the first load, and
+/// starts every page from a copy of it; the realm is rebooted when
+/// `config.instrument` has changed since.
 #[derive(Debug, Clone)]
 pub struct Browser {
     /// The instrumented feature universe.
@@ -130,9 +143,19 @@ pub struct Browser {
     /// every script is parsed from scratch (identical measurements, more
     /// CPU — see [`crate::cache`]).
     compile_cache: Option<Arc<CompileCache>>,
-    /// Property-feature lookup for the instrumentation watcher, built once
-    /// per registry instead of once per page load.
-    prop_index: PropIndex,
+    /// The booted realm every page starts from (built by the first load).
+    realm: RefCell<Option<Rc<Realm>>>,
+}
+
+/// A booted realm: the interpreter with the API surface (and, when
+/// `instrument` is set, the measuring extension) installed against a
+/// placeholder host. No page code ever runs in it; pages run in copies.
+#[derive(Debug)]
+struct Realm {
+    /// The `config.instrument` value the realm was booted under.
+    instrument: bool,
+    interp: Interpreter,
+    api: ApiSurface,
 }
 
 /// Counters from one page load + interaction session.
@@ -239,24 +262,17 @@ impl fmt::Debug for Page {
 impl Browser {
     /// A browser over the given feature registry with default config.
     pub fn new(registry: Rc<FeatureRegistry>) -> Self {
-        let prop_index = PropIndex::build(&registry);
-        Browser {
-            registry,
-            config: BrowserConfig::default(),
-            compile_cache: None,
-            prop_index,
-        }
+        Self::with_config(registry, BrowserConfig::default())
     }
 
     /// A browser with an explicit engine configuration (crawlers route
     /// their `CrawlConfig.browser` budgets through here).
     pub fn with_config(registry: Rc<FeatureRegistry>, config: BrowserConfig) -> Self {
-        let prop_index = PropIndex::build(&registry);
         Browser {
             registry,
             config,
             compile_cache: None,
-            prop_index,
+            realm: RefCell::new(None),
         }
     }
 
@@ -296,20 +312,13 @@ impl Browser {
         let host = Rc::new(RefCell::new(HostEnv::new(doc, url.clone())));
         host.borrow_mut().now = clock.now();
 
-        // 3. Engine + API + instrumentation (before page scripts, like the
-        //    paper's <head> injection).
-        let mut interp = Interpreter::new();
-        let api = api::install(&mut interp, &self.registry, host.clone());
+        // 3. A copy of the booted realm — engine, API and instrumentation
+        //    already installed, before any page script runs, like the
+        //    paper's <head> injection — pointed at this page.
+        let realm = self.realm(url);
+        let mut interp = realm.interp.clone();
         let log = Rc::new(RefCell::new(FeatureLog::new()));
-        if self.config.instrument {
-            Instrumentation::install_with_index(
-                &mut interp,
-                &api,
-                &self.registry,
-                log.clone(),
-                &self.prop_index,
-            );
-        }
+        let api = api::attach_page(&mut interp, &realm.api, host.clone(), log.clone());
         Self::bind_document_tree_globals(&mut interp, &api);
 
         // 4. Element hiding. Selector compilation is memoized per page load
@@ -395,6 +404,40 @@ impl Browser {
             log,
             stats,
         })
+    }
+
+    /// The booted realm for the current configuration, booting it on first
+    /// use or after `config.instrument` changed. The placeholder host is an
+    /// empty document at `url`; [`api::attach_page`] repoints every copy,
+    /// including the first page's.
+    fn realm(&self, url: &Url) -> Rc<Realm> {
+        let mut slot = self.realm.borrow_mut();
+        if let Some(realm) = slot
+            .as_ref()
+            .filter(|r| r.instrument == self.config.instrument)
+        {
+            return Rc::clone(realm);
+        }
+        let host = Rc::new(RefCell::new(HostEnv::new(Document::new(), url.clone())));
+        let mut interp = Interpreter::new();
+        let api = api::install(&mut interp, &self.registry, host);
+        if self.config.instrument {
+            let log = Rc::new(RefCell::new(FeatureLog::new()));
+            Instrumentation::install_with_index(
+                &mut interp,
+                &api,
+                &self.registry,
+                log,
+                &PropIndex::build(&self.registry),
+            );
+        }
+        let realm = Rc::new(Realm {
+            instrument: self.config.instrument,
+            interp,
+            api,
+        });
+        *slot = Some(Rc::clone(&realm));
+        realm
     }
 
     /// Fetch an iframe's document and execute its scripts (one level deep).

@@ -17,6 +17,7 @@ use crate::object::{Callable, EnvId, Heap};
 use crate::parser::{parse, ParseError};
 use crate::value::Value;
 use bfu_util::Atom;
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -72,7 +73,7 @@ impl std::error::Error for RuntimeError {}
 /// A host function: `(interpreter, this, args) -> value`.
 pub type NativeFn = Rc<dyn Fn(&mut Interpreter, Value, &[Value]) -> Result<Value, RuntimeError>>;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Env {
     pub(crate) vars: HashMap<Atom, Value>,
     pub(crate) parent: Option<EnvId>,
@@ -88,6 +89,13 @@ enum Flow {
 }
 
 /// The interpreter: heap, scopes, natives, and fuel.
+///
+/// Cloning copies the whole realm (heap, scopes, globals) and shares the
+/// native table, so an embedder can build an expensive realm once and start
+/// many independent runs from copies of it. A native that must act on
+/// per-run state reaches it through [`Interpreter::host`], never through its
+/// own captures, or every copy would act on the same state.
+#[derive(Clone)]
 pub struct Interpreter {
     /// The object heap (public: the embedder builds prototypes directly).
     pub heap: Heap,
@@ -105,6 +113,9 @@ pub struct Interpreter {
     string_budget: u64,
     /// Set by `Stmt::Expr` so `run` can return the last expression value.
     pub(crate) last_expr_value: Option<Value>,
+    /// Embedder state natives read back through the interpreter they are
+    /// called with (see [`Interpreter::set_host`]).
+    host: Option<Rc<dyn Any>>,
 }
 
 impl fmt::Debug for Interpreter {
@@ -135,6 +146,7 @@ impl Interpreter {
             string_bytes: 0,
             string_budget: u64::MAX,
             last_expr_value: None,
+            host: None,
         };
         interp.global = interp.push_env(None, Value::Undefined);
         interp
@@ -192,6 +204,19 @@ impl Interpreter {
         let idx = u32::try_from(self.natives.len()).unwrap_or(u32::MAX);
         self.natives.push(f);
         self.heap.alloc_callable(Callable::Native(idx), None)
+    }
+
+    /// Install the embedder state natives read back with
+    /// [`Interpreter::host`], replacing any earlier one. A clone of this
+    /// interpreter shares the state until either side installs its own.
+    pub fn set_host<T: 'static>(&mut self, host: Rc<T>) {
+        self.host = Some(host);
+    }
+
+    /// The embedder state installed with [`Interpreter::set_host`], if it is
+    /// a `T`.
+    pub fn host<T: 'static>(&self) -> Option<Rc<T>> {
+        self.host.clone()?.downcast().ok()
     }
 
     /// Define (or overwrite) a global variable.

@@ -96,7 +96,7 @@ pub struct Object {
 }
 
 /// The object heap.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Heap {
     objects: Vec<Object>,
 }

@@ -128,6 +128,16 @@ grep -qE '"replica_quorum_writes": [1-9]' "$CI_FABRIC_OUT"
 grep -qE '"replica_quorum_reads": [1-9]' "$CI_FABRIC_OUT"
 rm -f "$CI_FABRIC_OUT"
 
+echo "==> perfbench build + self-test (the benchmark sits outside the workspace)"
+# perfbench is its own Cargo package, so the workspace build and tests above
+# never compile it: a change to a public item its traced replay uses would
+# otherwise surface only at the benchmark gate. Build it, then run every
+# workload on a tiny web, untraced and traced, through BENCHMARK.json's own
+# command; the self-test fails on a non-zero exit, a failed output check
+# (pinned fingerprints, replay == crawl), or a missing metric.
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/selftest.py
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
