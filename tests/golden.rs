@@ -3,17 +3,19 @@
 //!
 //! Every other equivalence suite compares two runs of the same build, so a
 //! change that shifts both sides together passes them. These tests pin the
-//! dataset fingerprint and a digest of the rendered Table 2 at three small
+//! dataset fingerprint and a digest of the rendered Table 2 at four small
 //! points — the benchmark's `paper-light` crawl shape, a script-heavy web
-//! (inert library bundles at weight 400), and a hostile web under tight
-//! budgets — to values recorded from an earlier commit. A change that moves
+//! (inert library bundles at weight 400), a hostile web under tight
+//! budgets, and a web whose network resets, stalls, truncates and garbles
+//! exchanges — to values recorded from an earlier commit. A change that moves
 //! a measurement must update the pins here, in its own diff, and say why.
 
 use bfu_analysis::report::render_table2;
 use bfu_core::{Study, StudyConfig};
-use bfu_crawler::{BrowserConfig, BrowserProfile, Dataset, Survey};
+use bfu_crawler::{BrowserConfig, BrowserProfile, CrawlError, Dataset, Survey};
+use bfu_net::{FaultKind, FaultPlan, HostFault};
 use bfu_util::fnv64;
-use bfu_webgen::{HostilePlan, SyntheticWeb, WebConfig};
+use bfu_webgen::{HostilePlan, SiteId, SyntheticWeb, WebConfig};
 
 /// The study shape of the `paper-light` benchmark workload (all four
 /// profiles, 2 rounds of 3 pages) at `sites` sites.
@@ -105,5 +107,51 @@ fn hostile_web_is_pinned() {
         "hostile",
         pin_of(&survey, dataset, config),
         (0x73e4_fd9b_3bcb_ad21, 0x8572_961b_2a86_d41b),
+    );
+}
+
+#[test]
+fn network_faults_are_pinned() {
+    let config = paper_shape(16, 4);
+    let web = web(&config, 0);
+    let hosts: Vec<String> = (0..web.site_count())
+        .map(SiteId::from_usize)
+        .filter(|&s| !web.plan(s).dead)
+        .map(|s| web.plan(s).site.domain.clone())
+        .take(6)
+        .collect();
+    let mut faults = FaultPlan::none()
+        .with_seed(41)
+        .with_reset_chance(0.01)
+        .with_extra_rtt(15);
+    let programs = [
+        HostFault::flaky(FaultKind::Reset, 2),
+        HostFault::flaky(FaultKind::Truncate, 1),
+        HostFault::random(FaultKind::Truncate, 1.0),
+        HostFault::random(FaultKind::Stall, 1.0).with_stall_ms(3_000),
+        HostFault::flaky(FaultKind::ErrorStatus(503), 1),
+        HostFault::random(FaultKind::CorruptBody, 0.5),
+    ];
+    for (host, program) in hosts.iter().zip(programs) {
+        faults.set_program(host, program);
+    }
+    let survey = Survey::new(web, config.crawl_config()).with_faults(faults);
+    let dataset = survey.run();
+    let health = dataset.health();
+    for class in [
+        CrawlError::Stall,
+        CrawlError::Truncated,
+        CrawlError::HttpError(503),
+    ] {
+        assert!(
+            health.failures_by_class[class.class_ix()] > 0,
+            "the overlay must cost a site to {class}"
+        );
+    }
+    assert!(health.total_retries > 0, "the overlay must force retries");
+    assert_pinned(
+        "network-faults",
+        pin_of(&survey, dataset, config),
+        (0x1c4c_9e8f_8601_1f10, 0xd8c7_b9be_0523_a888),
     );
 }
