@@ -281,12 +281,10 @@ mod tests {
         let mut net = SimNet::new(SimRng::new(7));
         net.register(
             "example.com",
-            Arc::new(|req: &HttpRequest| {
-                if req.url.path() == "/hello" {
-                    HttpResponse::html("<html>hi</html>")
-                } else {
-                    HttpResponse::status(StatusCode::NOT_FOUND)
-                }
+            Arc::new(|req: &HttpRequest| match req.url.path() {
+                "/hello" => HttpResponse::html("<html>hi</html>"),
+                "/big" => HttpResponse::html("x".repeat(3_000)),
+                _ => HttpResponse::status(StatusCode::NOT_FOUND),
             }),
         );
         net
@@ -308,6 +306,34 @@ mod tests {
         assert!(clock.now().millis() > 0, "time must pass");
         assert_eq!(net.stats().requests, 1);
         assert!(net.stats().bytes_received > 0);
+    }
+
+    /// Virtual ms one fetch of `url` costs on a fresh [`simple_net`] under
+    /// `faults`, whether or not it succeeds.
+    fn fetch_ms(faults: FaultPlan, url: &str) -> u64 {
+        let mut net = simple_net();
+        net.set_faults(faults);
+        let mut clock = VirtualClock::new();
+        let _ = net.fetch(&get(url), &mut clock);
+        clock.now().millis()
+    }
+
+    #[test]
+    fn fetch_clock_costs_are_pinned() {
+        use crate::fault::{FaultKind, HostFault};
+        let once = |fault: HostFault| FaultPlan::none().with_program("example.com", fault);
+        let flaky = |kind| once(HostFault::flaky(kind, 1));
+        let (hello, big) = ("http://example.com/hello", "http://example.com/big");
+        assert_eq!(fetch_ms(FaultPlan::none(), hello), 31);
+        assert_eq!(fetch_ms(FaultPlan::none(), big), 33);
+        assert_eq!(fetch_ms(flaky(FaultKind::Reset), hello), 23);
+        let stall = HostFault::flaky(FaultKind::Stall, 1).with_stall_ms(4_000);
+        assert_eq!(fetch_ms(once(stall), hello), 4_023);
+        assert_eq!(fetch_ms(flaky(FaultKind::Truncate), hello), 31);
+        assert_eq!(fetch_ms(flaky(FaultKind::Truncate), big), 33);
+        assert_eq!(fetch_ms(flaky(FaultKind::ErrorStatus(503)), hello), 31);
+        assert_eq!(fetch_ms(FaultPlan::none().with_extra_rtt(15), hello), 62);
+        assert_eq!(fetch_ms(FaultPlan::none(), "http://nowhere.test/"), 30);
     }
 
     #[test]
