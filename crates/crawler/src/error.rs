@@ -30,7 +30,7 @@ pub enum CrawlError {
     ConnectionReset,
     /// Exchange stalled past its timeout, consuming clock budget.
     Stall,
-    /// Response truncated or otherwise unparseable on the wire.
+    /// Response cut short mid-transfer.
     Truncated,
     /// Document answered with a non-success HTTP status.
     HttpError(u16),
@@ -129,8 +129,7 @@ impl CrawlError {
             | LoadError::Network(NetError::ConnectionRefused(_)) => CrawlError::DeadHost,
             LoadError::Network(NetError::ConnectionReset(_)) => CrawlError::ConnectionReset,
             LoadError::Network(NetError::Stalled(_)) => CrawlError::Stall,
-            LoadError::Network(NetError::Truncated(_))
-            | LoadError::Network(NetError::ProtocolError(_)) => CrawlError::Truncated,
+            LoadError::Network(NetError::Truncated(_)) => CrawlError::Truncated,
             LoadError::Http(status) => CrawlError::HttpError(*status),
         }
     }
@@ -219,7 +218,6 @@ mod tests {
         );
         assert_eq!(net(Stalled("x".into())), CrawlError::Stall);
         assert_eq!(net(Truncated("x".into())), CrawlError::Truncated);
-        assert_eq!(net(ProtocolError("x".into())), CrawlError::Truncated);
         assert_eq!(
             CrawlError::from_load(&LoadError::Http(503)),
             CrawlError::HttpError(503)

@@ -1,47 +1,12 @@
-//! HTTP/1.1 message types and wire codec.
+//! HTTP/1.1 message types.
 //!
-//! Requests and responses travel between the simulated browser and the
-//! virtual servers as real HTTP/1.1 bytes: the client serializes each
-//! request, the server side parses it, and vice versa for responses. This
-//! keeps the substrate honest — blockers and the proxy-injection step (the
-//! paper's Fig. 2) operate on genuine messages, and codec bugs surface in
-//! tests rather than being defined away.
+//! Requests and responses pass between the simulated browser and the virtual
+//! servers as these structs; nothing serializes them. Each message knows its
+//! HTTP/1.1 size (`wire_len`), which is what the link model in
+//! [`crate::sim`] charges virtual time for.
 
 use crate::url::Url;
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// HTTP request method (the subset a crawler needs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Method {
-    /// GET — document, script, image, stylesheet fetches.
-    Get,
-    /// POST — form submissions, beacons, XHR uploads.
-    Post,
-    /// HEAD — probes.
-    Head,
-}
-
-impl Method {
-    /// The method token as written on the request line.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Method::Get => "GET",
-            Method::Post => "POST",
-            Method::Head => "HEAD",
-        }
-    }
-
-    /// Parse a method token.
-    pub fn parse(s: &str) -> Option<Method> {
-        match s {
-            "GET" => Some(Method::Get),
-            "POST" => Some(Method::Post),
-            "HEAD" => Some(Method::Head),
-            _ => None,
-        }
-    }
-}
 
 /// Response status code (newtype over the numeric code).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,17 +89,11 @@ impl ResourceType {
     }
 }
 
-/// An HTTP request bound for a virtual server.
+/// An HTTP GET request bound for a virtual server.
 #[derive(Debug, Clone)]
 pub struct HttpRequest {
-    /// Request method.
-    pub method: Method,
     /// Absolute target URL.
     pub url: Url,
-    /// Header map (lowercased names, insertion-stable via BTreeMap).
-    pub headers: BTreeMap<String, String>,
-    /// Body bytes (empty for GET/HEAD).
-    pub body: Vec<u8>,
     /// Resource classification for blockers.
     pub resource_type: ResourceType,
     /// URL of the document that initiated the request (None for the
@@ -146,10 +105,7 @@ impl HttpRequest {
     /// A GET request for `url` of the given resource type.
     pub fn get(url: Url, resource_type: ResourceType) -> Self {
         HttpRequest {
-            method: Method::Get,
             url,
-            headers: BTreeMap::new(),
-            body: Vec::new(),
             resource_type,
             initiator: None,
         }
@@ -161,13 +117,6 @@ impl HttpRequest {
         self
     }
 
-    /// Add a header (builder style). Names are lowercased.
-    pub fn with_header(mut self, name: &str, value: &str) -> Self {
-        self.headers
-            .insert(name.to_ascii_lowercase(), value.to_owned());
-        self
-    }
-
     /// Whether this request is third-party relative to its initiator.
     pub fn is_third_party(&self) -> bool {
         match &self.initiator {
@@ -176,65 +125,13 @@ impl HttpRequest {
         }
     }
 
-    /// Serialize to HTTP/1.1 wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(256 + self.body.len());
-        buf.extend_from_slice(self.method.as_str().as_bytes());
-        buf.push(b' ');
-        buf.extend_from_slice(self.url.request_target().as_bytes());
-        buf.extend_from_slice(b" HTTP/1.1\r\n");
-        buf.extend_from_slice(b"host: ");
-        buf.extend_from_slice(self.url.host().as_bytes());
-        buf.extend_from_slice(b"\r\n");
-        for (k, v) in &self.headers {
-            if k == "host" {
-                continue;
-            }
-            buf.extend_from_slice(k.as_bytes());
-            buf.extend_from_slice(b": ");
-            buf.extend_from_slice(v.as_bytes());
-            buf.extend_from_slice(b"\r\n");
-        }
-        buf.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        buf.extend_from_slice(b"\r\n");
-        buf.extend_from_slice(&self.body);
-        buf
-    }
-
-    /// Parse a request from wire bytes (as a virtual server receives it).
-    ///
-    /// `scheme` is supplied by the connection (plaintext vs TLS port).
-    pub fn decode(bytes: &[u8], scheme: &str) -> Result<HttpRequest, CodecError> {
-        let (head, body) = split_head(bytes)?;
-        let mut lines = head.split("\r\n");
-        let request_line = lines.next().ok_or(CodecError::Truncated)?;
-        let mut parts = request_line.split(' ');
-        let method = Method::parse(parts.next().unwrap_or(""))
-            .ok_or_else(|| CodecError::Malformed("bad method".into()))?;
-        let target = parts
-            .next()
-            .ok_or_else(|| CodecError::Malformed("missing target".into()))?;
-        if parts.next() != Some("HTTP/1.1") {
-            return Err(CodecError::Malformed("bad version".into()));
-        }
-        let headers = parse_headers(lines)?;
-        let host = headers
-            .get("host")
-            .ok_or_else(|| CodecError::Malformed("missing host header".into()))?;
-        let url = Url::parse(&format!("{scheme}://{host}{target}"))
-            .map_err(|e| CodecError::Malformed(e.to_string()))?;
-        let expected = content_length(&headers)?;
-        if body.len() < expected {
-            return Err(CodecError::Truncated);
-        }
-        Ok(HttpRequest {
-            method,
-            url,
-            headers,
-            body: body[..expected].to_vec(),
-            resource_type: ResourceType::Other,
-            initiator: None,
-        })
+    /// Size in bytes of this request as HTTP/1.1:
+    /// `GET {target} HTTP/1.1\r\nhost: {host}\r\ncontent-length: 0\r\n\r\n`,
+    /// where the target is the path and query and the host carries no port.
+    pub(crate) fn wire_len(&self) -> usize {
+        "GET  HTTP/1.1\r\nhost: \r\ncontent-length: 0\r\n\r\n".len()
+            + self.url.request_target().len()
+            + self.url.host().len()
     }
 }
 
@@ -285,103 +182,25 @@ impl HttpResponse {
         self.headers.get("content-type").map(String::as_str)
     }
 
-    /// Serialize to HTTP/1.1 wire format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(128 + self.body.len());
-        buf.extend_from_slice(
-            format!("HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason()).as_bytes(),
-        );
-        for (k, v) in &self.headers {
-            buf.extend_from_slice(k.as_bytes());
-            buf.extend_from_slice(b": ");
-            buf.extend_from_slice(v.as_bytes());
-            buf.extend_from_slice(b"\r\n");
-        }
-        buf.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
-        buf.extend_from_slice(b"\r\n");
-        buf.extend_from_slice(&self.body);
-        buf
-    }
-
-    /// Parse a response from wire bytes (as the browser receives it).
-    pub fn decode(bytes: &[u8]) -> Result<HttpResponse, CodecError> {
-        let (head, body) = split_head(bytes)?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().ok_or(CodecError::Truncated)?;
-        let mut parts = status_line.splitn(3, ' ');
-        if parts.next() != Some("HTTP/1.1") {
-            return Err(CodecError::Malformed("bad version".into()));
-        }
-        let code: u16 = parts
-            .next()
-            .and_then(|c| c.parse().ok())
-            .ok_or_else(|| CodecError::Malformed("bad status code".into()))?;
-        let headers = parse_headers(lines)?;
-        let expected = content_length(&headers)?;
-        if body.len() < expected {
-            return Err(CodecError::Truncated);
-        }
-        Ok(HttpResponse {
-            status: StatusCode(code),
-            headers,
-            body: body[..expected].to_vec(),
-        })
+    /// Size in bytes of this response as HTTP/1.1: the status line
+    /// `HTTP/1.1 {code} {reason}\r\n`, a `{name}: {value}\r\n` line per
+    /// header, `content-length: {len}\r\n`, a blank line, then the body.
+    pub(crate) fn wire_len(&self) -> usize {
+        let status_line =
+            "HTTP/1.1  \r\n".len() + decimal_len(self.status.0.into()) + self.status.reason().len();
+        let headers: usize = self
+            .headers
+            .iter()
+            .map(|(name, value)| name.len() + ": \r\n".len() + value.len())
+            .sum();
+        let length = "content-length: \r\n\r\n".len() + decimal_len(self.body.len());
+        status_line + headers + length + self.body.len()
     }
 }
 
-/// Error from the HTTP codec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CodecError {
-    /// Message ended before head/body was complete.
-    Truncated,
-    /// Structurally invalid message.
-    Malformed(String),
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Truncated => write!(f, "truncated HTTP message"),
-            CodecError::Malformed(m) => write!(f, "malformed HTTP message: {m}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-fn split_head(bytes: &[u8]) -> Result<(&str, &[u8]), CodecError> {
-    let sep = bytes
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or(CodecError::Truncated)?;
-    let head = std::str::from_utf8(&bytes[..sep])
-        .map_err(|_| CodecError::Malformed("non-UTF8 head".into()))?;
-    Ok((head, &bytes[sep + 4..]))
-}
-
-fn parse_headers<'a>(
-    lines: impl Iterator<Item = &'a str>,
-) -> Result<BTreeMap<String, String>, CodecError> {
-    let mut headers = BTreeMap::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| CodecError::Malformed(format!("bad header line {line:?}")))?;
-        headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_owned());
-    }
-    Ok(headers)
-}
-
-fn content_length(headers: &BTreeMap<String, String>) -> Result<usize, CodecError> {
-    match headers.get("content-length") {
-        None => Ok(0),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CodecError::Malformed(format!("bad content-length {v:?}"))),
-    }
+/// Number of decimal digits in `n`.
+fn decimal_len(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 #[cfg(test)]
@@ -392,68 +211,24 @@ mod tests {
         Url::parse(s).unwrap()
     }
 
+    /// Byte counts of the HTTP/1.1 serializations the link model charges
+    /// for, as an encoder writing each message out would produce them.
     #[test]
-    fn request_roundtrip() {
-        let req = HttpRequest::get(url("http://example.com/a?b=1"), ResourceType::Script)
-            .with_header("User-Agent", "bfu-crawler/1.0")
-            .with_header("Accept", "*/*");
-        let wire = req.encode();
-        let parsed = HttpRequest::decode(&wire, "http").unwrap();
-        assert_eq!(parsed.method, Method::Get);
-        assert_eq!(parsed.url, req.url);
-        assert_eq!(parsed.headers["user-agent"], "bfu-crawler/1.0");
-        assert!(parsed.body.is_empty());
-    }
+    fn wire_len_matches_http11_encoding() {
+        let get = |u: &str| HttpRequest::get(url(u), ResourceType::Document).wire_len();
+        assert_eq!(get("http://example.com/hello"), 61);
+        assert_eq!(get("http://cdn.example.com/assets/app.js?p=2"), 77);
+        assert_eq!(get("https://example.com:8443/a/b?q=1#frag"), 63);
 
-    #[test]
-    fn request_with_body_roundtrip() {
-        let mut req = HttpRequest::get(url("http://example.com/submit"), ResourceType::Xhr);
-        req.method = Method::Post;
-        req.body = b"k=v&x=y".to_vec();
-        let parsed = HttpRequest::decode(&req.encode(), "http").unwrap();
-        assert_eq!(parsed.method, Method::Post);
-        assert_eq!(&parsed.body[..], b"k=v&x=y");
-    }
-
-    #[test]
-    fn response_roundtrip() {
-        let resp = HttpResponse::html("<html><body>hi</body></html>");
-        let parsed = HttpResponse::decode(&resp.encode()).unwrap();
-        assert_eq!(parsed.status, StatusCode::OK);
-        assert_eq!(parsed.content_type(), Some("text/html; charset=utf-8"));
-        assert_eq!(&parsed.body[..], b"<html><body>hi</body></html>");
-    }
-
-    #[test]
-    fn decode_rejects_garbage() {
+        assert_eq!(HttpResponse::html("<html>hi</html>").wire_len(), 94);
+        assert_eq!(HttpResponse::status(StatusCode::NOT_FOUND).wire_len(), 45);
+        assert_eq!(HttpResponse::status(StatusCode(503)).wire_len(), 55);
+        assert_eq!(HttpResponse::status(StatusCode(299)).wire_len(), 43);
         assert_eq!(
-            HttpResponse::decode(b"not http").unwrap_err(),
-            CodecError::Truncated
+            HttpResponse::javascript("x".repeat(2_000)).wire_len(),
+            2_079
         );
-        assert!(matches!(
-            HttpResponse::decode(b"SPDY/1 200 OK\r\n\r\n"),
-            Err(CodecError::Malformed(_))
-        ));
-        assert!(matches!(
-            HttpRequest::decode(b"YEET / HTTP/1.1\r\nhost: a.com\r\n\r\n", "http"),
-            Err(CodecError::Malformed(_))
-        ));
-        // Missing host header.
-        assert!(matches!(
-            HttpRequest::decode(b"GET / HTTP/1.1\r\n\r\n", "http"),
-            Err(CodecError::Malformed(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_body_detected() {
-        let resp = HttpResponse::ok("text/plain", "hello world");
-        let wire = resp.encode();
-        let cut = &wire[..wire.len() - 3];
-        assert_eq!(
-            HttpResponse::decode(cut).unwrap_err(),
-            CodecError::Truncated
-        );
+        assert_eq!(HttpResponse::ok("image/gif", "GIF89a").wire_len(), 69);
     }
 
     #[test]
@@ -480,12 +255,5 @@ mod tests {
         assert_eq!(ResourceType::Script.abp_option(), "script");
         assert_eq!(ResourceType::Xhr.abp_option(), "xmlhttprequest");
         assert_eq!(ResourceType::Beacon.abp_option(), "ping");
-    }
-
-    #[test]
-    fn https_scheme_preserved_through_decode() {
-        let req = HttpRequest::get(url("https://secure.com/x"), ResourceType::Document);
-        let parsed = HttpRequest::decode(&req.encode(), "https").unwrap();
-        assert_eq!(parsed.url.scheme(), "https");
     }
 }

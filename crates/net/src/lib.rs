@@ -14,19 +14,18 @@
 //! - [`url`] — a from-scratch URL parser/resolver (absolute + relative),
 //!   with origin and registrable-domain logic used by the blockers'
 //!   `third-party` rules.
-//! - [`http`] — HTTP/1.1 request/response types and a byte-level codec
-//!   (serializer + incremental parser over [`bytes`]).
-//! - [`conn`] — a connection state machine (handshake, request/response
-//!   exchange, close) with explicit states and transition errors.
-//! - [`fault`] — fault injection: dead hosts, packet-drop probability,
-//!   per-host extra latency.
-//! - [`sim`] — [`sim::SimNet`]: DNS, registered virtual servers, a latency
-//!   model, statistics, and the `fetch` entry point the browser uses.
+//! - [`http`] — HTTP/1.1 request/response types, each knowing its size on
+//!   the wire.
+//! - [`fault`] — fault injection: dead hosts, per-host fault programs
+//!   (flaky, stall, truncate, error status, corrupt body), background
+//!   resets, extra latency.
+//! - [`sim`] — [`sim::SimNet`]: DNS, registered virtual servers, the
+//!   [`transfer_ms`] link model, and the `fetch` entry point the browser
+//!   uses.
 //! - [`wire`] — fault schedules for framed request/response exchanges
 //!   (dropped/truncated/stalled/duplicated/reordered frames), consumed by
 //!   the remote object-store transport in `bfu-objstore`.
 
-pub mod conn;
 pub mod fault;
 pub mod http;
 pub mod sim;
@@ -34,7 +33,7 @@ pub mod url;
 pub mod wire;
 
 pub use fault::{FaultKind, FaultOutcome, FaultPlan, HostFault};
-pub use http::{HttpRequest, HttpResponse, Method, ResourceType, StatusCode};
-pub use sim::{NetError, NetStats, Server, SimNet};
+pub use http::{HttpRequest, HttpResponse, ResourceType, StatusCode};
+pub use sim::{transfer_ms, NetError, Server, SimNet};
 pub use url::Url;
 pub use wire::{WireFault, WireFaultPlan};

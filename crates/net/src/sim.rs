@@ -2,20 +2,19 @@
 //!
 //! [`SimNet`] owns a table of virtual hosts, each backed by a [`Server`]
 //! implementation (the synthetic web registers one server per origin). A
-//! fetch drives a full [`Connection`](crate::conn::Connection) exchange:
-//! handshake, request serialization to wire bytes, server-side decode,
-//! handler dispatch, response encode, client-side decode — advancing the
-//! caller's virtual clock by the modeled time at every step.
+//! fetch hands the request to the host's server and returns its response,
+//! advancing the caller's virtual clock by the [`transfer_ms`] link model:
+//! one RTT for the handshake, then one transfer per message, sized as its
+//! HTTP/1.1 encoding.
 
-use crate::conn::Connection;
 use crate::fault::{FaultOutcome, FaultPlan};
-use crate::http::{CodecError, HttpRequest, HttpResponse};
+use crate::http::{HttpRequest, HttpResponse, StatusCode};
 use bfu_util::{SimRng, VirtualClock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// A virtual origin server: receives decoded requests, returns responses.
+/// A virtual origin server: receives requests, returns responses.
 ///
 /// Implementations must be pure functions of the request (plus their own
 /// immutable state) so crawls stay deterministic and can run in parallel.
@@ -46,8 +45,6 @@ pub enum NetError {
     Stalled(String),
     /// The response ended before the advertised body was complete.
     Truncated(String),
-    /// The peer sent bytes that failed to parse.
-    ProtocolError(String),
 }
 
 impl fmt::Display for NetError {
@@ -58,34 +55,20 @@ impl fmt::Display for NetError {
             NetError::ConnectionReset(h) => write!(f, "connection to {h} reset"),
             NetError::Stalled(h) => write!(f, "exchange with {h} stalled past the timeout"),
             NetError::Truncated(h) => write!(f, "response from {h} was truncated"),
-            NetError::ProtocolError(m) => write!(f, "protocol error: {m}"),
         }
     }
 }
 
 impl std::error::Error for NetError {}
 
-/// Aggregate transfer statistics (feeds the paper's Table 1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Successful request/response exchanges.
-    pub requests: u64,
-    /// Failed fetches (refused / reset / unresolvable).
-    pub failures: u64,
-    /// Total request bytes on the wire.
-    pub bytes_sent: u64,
-    /// Total response bytes on the wire.
-    pub bytes_received: u64,
-}
-
-impl NetStats {
-    /// Merge another stats block into this one.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.requests += other.requests;
-        self.failures += other.failures;
-        self.bytes_sent += other.bytes_sent;
-        self.bytes_received += other.bytes_received;
-    }
+/// Virtual milliseconds one message of `bytes` takes on a link with round
+/// trip `rtt_ms`: half an RTT of propagation plus serialization at a
+/// nominal 1 MB/s (1 ms per whole KiB, at least 1 ms). Opening a connection
+/// costs one full RTT on top. [`SimNet`] charges it per HTTP message and
+/// the object store's simulated transport per frame, so both price an
+/// exchange alike.
+pub fn transfer_ms(bytes: usize, rtt_ms: u64) -> u64 {
+    rtt_ms / 2 + (bytes as u64 / 1024).max(1)
 }
 
 /// The deterministic in-memory network.
@@ -95,7 +78,6 @@ pub struct SimNet {
     rtt: HashMap<String, u64>,
     faults: FaultPlan,
     rng: SimRng,
-    stats: NetStats,
     /// Fault context (reset per site-visit by the crawler) and per-host
     /// exchange counters within it — the coordinates of hash-derived fault
     /// sampling, so faults are identical regardless of thread layout.
@@ -108,7 +90,6 @@ impl fmt::Debug for SimNet {
         f.debug_struct("SimNet")
             .field("hosts", &self.hosts.len())
             .field("faults", &self.faults)
-            .field("stats", &self.stats)
             .finish()
     }
 }
@@ -122,7 +103,6 @@ impl SimNet {
             rtt: HashMap::new(),
             faults: FaultPlan::none(),
             rng,
-            stats: NetStats::default(),
             fault_ctx: 0,
             exchange_counts: HashMap::new(),
         }
@@ -167,16 +147,7 @@ impl SimNet {
         self.hosts.len()
     }
 
-    /// Transfer statistics so far.
-    pub fn stats(&self) -> NetStats {
-        self.stats
-    }
-
     /// Perform one fetch, advancing `clock` by handshake + transfer time.
-    ///
-    /// The request is serialized to wire bytes, decoded server-side, handled,
-    /// and the response is serialized and decoded client-side — a full codec
-    /// round trip per exchange.
     pub fn fetch(
         &mut self,
         req: &HttpRequest,
@@ -184,7 +155,6 @@ impl SimNet {
     ) -> Result<HttpResponse, NetError> {
         let host = req.url.host().to_owned();
         let Some(server) = self.hosts.get(&host).cloned() else {
-            self.stats.failures += 1;
             clock.advance(30); // failed DNS lookup still costs time
             return Err(NetError::NameNotResolved(host));
         };
@@ -195,86 +165,40 @@ impl SimNet {
             ix
         };
         let rtt = self.rtt[&host] + self.faults.extra_rtt_ms;
-        let mut conn = Connection::new(rtt);
-
-        let handshake = conn.connect().expect("fresh connection");
-        clock.advance(handshake);
+        clock.advance(rtt);
         if self.faults.is_dead(&host) {
-            conn.refused();
-            self.stats.failures += 1;
             return Err(NetError::ConnectionRefused(host));
         }
-        conn.established().expect("post-handshake");
-
-        let wire_req = req.encode();
-        let send_ms = conn.request_sent(wire_req.len()).expect("established");
-        clock.advance(send_ms);
-        self.stats.bytes_sent += wire_req.len() as u64;
+        clock.advance(transfer_ms(req.wire_len(), rtt));
 
         let fault = self.faults.decide(&host, exchange_ix, self.fault_ctx);
-        match fault {
-            FaultOutcome::Reset => {
-                conn.reset();
-                self.stats.failures += 1;
-                return Err(NetError::ConnectionReset(host));
-            }
+        let mut response = match fault {
+            FaultOutcome::Reset => return Err(NetError::ConnectionReset(host)),
             FaultOutcome::Stall(ms) => {
                 clock.advance(ms);
-                conn.reset();
-                self.stats.failures += 1;
                 return Err(NetError::Stalled(host));
             }
-            _ => {}
-        }
-
-        // Server side: decode the wire bytes, preserving classification
-        // metadata that doesn't travel on the wire.
-        let response = if let FaultOutcome::ErrorStatus(code) = fault {
-            crate::http::HttpResponse::status(crate::http::StatusCode(code))
-        } else {
-            let mut server_req = HttpRequest::decode(&wire_req, req.url.scheme())
-                .map_err(|e| NetError::ProtocolError(e.to_string()))?;
-            server_req.resource_type = req.resource_type;
-            server_req.initiator = req.initiator.clone();
-            let mut response = server.handle(&server_req);
-            if fault == FaultOutcome::CorruptBody {
-                // Garble the body in place: valid HTTP, broken payload
-                // (scripts served this way no longer parse).
-                response.body = b")]}' bfu-corrupted {{{ ;;; <<<".to_vec();
-            }
-            response
+            FaultOutcome::ErrorStatus(code) => HttpResponse::status(StatusCode(code)),
+            _ => server.handle(req),
         };
-
-        let mut wire_resp = response.encode();
-        let recv_ms = conn.response_received(wire_resp.len()).expect("awaiting");
-        clock.advance(recv_ms);
-
+        if fault == FaultOutcome::CorruptBody {
+            // Garble the body: valid HTTP, broken payload (scripts served
+            // this way no longer parse).
+            response.body = b")]}' bfu-corrupted {{{ ;;; <<<".to_vec();
+        }
+        // A truncated response still crossed the link in full.
+        clock.advance(transfer_ms(response.wire_len(), rtt));
         if fault == FaultOutcome::Truncate {
-            wire_resp.truncate(wire_resp.len() * 2 / 3);
+            return Err(NetError::Truncated(host));
         }
-        self.stats.bytes_received += wire_resp.len() as u64;
-
-        match HttpResponse::decode(&wire_resp) {
-            Ok(resp) => {
-                self.stats.requests += 1;
-                Ok(resp)
-            }
-            Err(CodecError::Truncated) => {
-                self.stats.failures += 1;
-                Err(NetError::Truncated(host))
-            }
-            Err(e) => {
-                self.stats.failures += 1;
-                Err(NetError::ProtocolError(e.to_string()))
-            }
-        }
+        Ok(response)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{ResourceType, StatusCode};
+    use crate::http::ResourceType;
     use crate::url::Url;
 
     fn simple_net() -> SimNet {
@@ -304,8 +228,6 @@ mod tests {
         assert_eq!(resp.status, StatusCode::OK);
         assert_eq!(&resp.body[..], b"<html>hi</html>");
         assert!(clock.now().millis() > 0, "time must pass");
-        assert_eq!(net.stats().requests, 1);
-        assert!(net.stats().bytes_received > 0);
     }
 
     /// Virtual ms one fetch of `url` costs on a fresh [`simple_net`] under
@@ -354,7 +276,6 @@ mod tests {
             .fetch(&get("http://nowhere.test/"), &mut clock)
             .unwrap_err();
         assert!(matches!(err, NetError::NameNotResolved(_)));
-        assert_eq!(net.stats().failures, 1);
     }
 
     #[test]
@@ -429,7 +350,6 @@ mod tests {
             .fetch(&get("http://example.com/hello"), &mut clock)
             .unwrap_err();
         assert!(matches!(err, NetError::Truncated(_)));
-        assert_eq!(net.stats().failures, 1);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //!
 //! - [`SimTransport`] — deterministic: an in-memory server plus a
 //!   [`bfu_net::WireFaultPlan`], with every latency, stall, and backoff
-//!   paid from a shared [`VirtualClock`] through a
-//!   [`bfu_net::conn::Connection`] lifecycle. This is the transport the
-//!   torture suite drives, because a seed fully determines the run.
+//!   paid from a shared [`VirtualClock`] at the [`bfu_net::transfer_ms`]
+//!   link model's prices. This is the transport the torture suite drives,
+//!   because a seed fully determines the run.
 //! - [`TcpTransport`] — real loopback TCP against
 //!   [`crate::spawn_tcp_server`], used by the cross-process fabric.
 //!
@@ -32,8 +32,7 @@ use crate::server::{read_frame, ObjectServer};
 use crate::wire::{
     decode_response, encode_request, unframe, RemoteError, Request, RequestOp, RespBody,
 };
-use bfu_net::conn::Connection;
-use bfu_net::WireFaultPlan;
+use bfu_net::{transfer_ms, WireFaultPlan};
 use bfu_util::{fault_choice, VirtualClock};
 use std::fmt;
 use std::io::{self, Write};
@@ -353,12 +352,13 @@ impl ObjectStore for RemoteObjectStore {
 }
 
 /// Deterministic in-memory transport: a server behind a faulty wire, all
-/// time paid on a shared virtual clock through a connection state machine.
+/// time paid on a shared virtual clock: one RTT per connect, then
+/// [`transfer_ms`] per frame in either direction.
 pub struct SimTransport {
     server: Arc<ObjectServer>,
     plan: WireFaultPlan,
     clock: Arc<Mutex<VirtualClock>>,
-    conn: Connection,
+    rtt_ms: u64,
     connected: bool,
     exchange_ix: u64,
     reconnects: u64,
@@ -389,7 +389,7 @@ impl SimTransport {
             server,
             plan,
             clock,
-            conn: Connection::new(rtt_ms),
+            rtt_ms,
             connected: false,
             exchange_ix: 0,
             reconnects: 0,
@@ -409,8 +409,12 @@ impl SimTransport {
         }
     }
 
+    /// Pay for one frame of `bytes` crossing the wire.
+    fn pay_frame(&self, bytes: usize) {
+        self.pay(transfer_ms(bytes, self.rtt_ms));
+    }
+
     fn broken(&mut self, what: &str) -> io::Error {
-        let _ = self.conn.reset();
         self.connected = false;
         io::Error::new(io::ErrorKind::BrokenPipe, format!("sim wire: {what}"))
     }
@@ -420,32 +424,16 @@ impl Transport for SimTransport {
     fn exchange(&mut self, frame: &[u8]) -> io::Result<Vec<u8>> {
         use bfu_net::WireFault;
         if !self.connected {
-            self.conn = Connection::new(self.conn.rtt_ms());
-            let rtt = self
-                .conn
-                .connect()
-                .map_err(|e| io::Error::other(format!("sim connect: {e:?}")))?;
-            self.pay(rtt);
-            self.conn
-                .established()
-                .map_err(|e| io::Error::other(format!("sim establish: {e:?}")))?;
+            self.pay(self.rtt_ms);
             self.connected = true;
             self.reconnects += 1;
         }
         let ix = self.exchange_ix;
         self.exchange_ix += 1;
         let fault = self.plan.outcome(ix);
-        let send_ms = self
-            .conn
-            .request_sent(frame.len())
-            .map_err(|e| io::Error::other(format!("sim send: {e:?}")))?;
-        self.pay(send_ms);
+        self.pay_frame(frame.len());
         let deliver = |me: &mut SimTransport, resp: Vec<u8>| -> io::Result<Vec<u8>> {
-            let recv_ms = me
-                .conn
-                .response_received(resp.len())
-                .map_err(|e| io::Error::other(format!("sim recv: {e:?}")))?;
-            me.pay(recv_ms);
+            me.pay_frame(resp.len());
             me.last_delivered = Some(resp.clone());
             Ok(resp)
         };
@@ -465,11 +453,7 @@ impl Transport for SimTransport {
                 let truncated = resp[..keep].to_vec();
                 // Damaged bytes still cross the wire and cost time, and a
                 // stream that lost bytes is no longer frame-aligned.
-                let recv_ms = self
-                    .conn
-                    .response_received(truncated.len())
-                    .map_err(|e| io::Error::other(format!("sim recv: {e:?}")))?;
-                self.pay(recv_ms);
+                self.pay_frame(truncated.len());
                 let _ = self.broken("response truncated");
                 Ok(truncated)
             }
@@ -490,11 +474,7 @@ impl Transport for SimTransport {
                     Some(stale) => {
                         // An earlier response surfaces instead; the fresh
                         // one becomes the next candidate for reordering.
-                        let recv_ms = self
-                            .conn
-                            .response_received(stale.len())
-                            .map_err(|e| io::Error::other(format!("sim recv: {e:?}")))?;
-                        self.pay(recv_ms);
+                        self.pay_frame(stale.len());
                         self.last_delivered = Some(fresh);
                         Ok(stale)
                     }

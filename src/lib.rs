@@ -17,7 +17,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`bfu_webidl`] | WebIDL parser, 75-standard catalog, 1,392-feature registry |
-//! | [`bfu_net`] | deterministic network: URL, HTTP/1.1 codec, fault injection |
+//! | [`bfu_net`] | deterministic network: URL, HTTP/1.1 messages, fault injection |
 //! | [`bfu_dom`] | arena DOM, CSS selectors, events, HTML parser |
 //! | [`bfu_script`] | mini-JS engine: prototypes, closures, watchpoints |
 //! | [`bfu_browser`] | page pipeline, Web API surface, the measuring extension |

@@ -1,12 +1,11 @@
 //! Property-based tests over the core data structures: URL parsing and
-//! resolution, the HTTP codec, the filter engine (token index vs naive
-//! scan), the selector engine and HTML parser (total on arbitrary input),
-//! the mini-JS lexer/parser/interpreter (total and terminating under a
-//! resource budget on arbitrary and mutated input), and the statistics
-//! utilities.
+//! resolution, the filter engine (token index vs naive scan), the selector
+//! engine and HTML parser (total on arbitrary input), the mini-JS
+//! lexer/parser/interpreter (total and terminating under a resource budget
+//! on arbitrary and mutated input), and the statistics utilities.
 
 use bfu_blocker::FilterEngine;
-use bfu_net::{HttpRequest, HttpResponse, Method, ResourceType, Url};
+use bfu_net::{HttpRequest, ResourceType, Url};
 use bfu_util::{cdf_points, Histogram, SimRng};
 use proptest::prelude::*;
 
@@ -71,45 +70,6 @@ proptest! {
         for seg in u.path_segments() {
             prop_assert!(seg != "." && seg != "..", "{}", u.path());
         }
-    }
-}
-
-// ---------- HTTP codec ----------
-
-proptest! {
-    #[test]
-    fn request_roundtrip(
-        host in host_strategy(),
-        path in path_strategy(),
-        body in proptest::collection::vec(any::<u8>(), 0..128),
-        header_val in "[a-zA-Z0-9 _-]{0,16}",
-    ) {
-        let url = Url::parse(&format!("http://{host}{path}")).unwrap();
-        let mut req = HttpRequest::get(url, ResourceType::Xhr)
-            .with_header("x-test", header_val.trim());
-        req.method = Method::Post;
-        req.body = body.clone();
-        let decoded = HttpRequest::decode(&req.encode(), "http").unwrap();
-        prop_assert_eq!(decoded.url, req.url);
-        prop_assert_eq!(&decoded.body[..], &body[..]);
-    }
-
-    #[test]
-    fn response_roundtrip(
-        status in 100u16..600,
-        body in proptest::collection::vec(any::<u8>(), 0..256),
-    ) {
-        let mut resp = HttpResponse::ok("application/octet-stream", body.clone());
-        resp.status = bfu_net::StatusCode(status);
-        let decoded = HttpResponse::decode(&resp.encode()).unwrap();
-        prop_assert_eq!(decoded.status.0, status);
-        prop_assert_eq!(&decoded.body[..], &body[..]);
-    }
-
-    #[test]
-    fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = HttpResponse::decode(&bytes);
-        let _ = HttpRequest::decode(&bytes, "http");
     }
 }
 
