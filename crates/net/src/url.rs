@@ -96,7 +96,7 @@ impl Url {
         if reference.is_empty() {
             return Ok(self.clone());
         }
-        if reference.contains("://") {
+        if has_scheme(reference) {
             return Url::parse(reference);
         }
         if let Some(rest) = reference.strip_prefix("//") {
@@ -210,6 +210,18 @@ pub fn registrable_domain_of(host: &str) -> &str {
         }
     }
     host
+}
+
+/// Whether `reference` is absolute: a scheme (`[A-Za-z][A-Za-z0-9+.-]*`)
+/// followed by `://`. A `://` later on, as in `/out?u=http://b.com/`, is
+/// part of a relative reference.
+fn has_scheme(reference: &str) -> bool {
+    let Some((scheme, _)) = reference.split_once("://") else {
+        return false;
+    };
+    let mut chars = scheme.chars();
+    chars.next().is_some_and(|c| c.is_ascii_alphabetic())
+        && chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.'))
 }
 
 fn split_path_query(s: &str) -> (String, Option<String>) {
@@ -326,6 +338,24 @@ mod tests {
         );
         assert_eq!(base.join("").unwrap(), base);
         assert_eq!(base.join("#frag").unwrap(), base);
+    }
+
+    #[test]
+    fn join_relative_references_that_carry_a_url() {
+        let base = Url::parse("http://a.com/dir/page.html").unwrap();
+        assert_eq!(
+            base.join("/out?u=http://b.com/x").unwrap().to_string(),
+            "http://a.com/out?u=http://b.com/x"
+        );
+        assert_eq!(
+            base.join("track?ref=https://c.com/").unwrap().to_string(),
+            "http://a.com/dir/track?ref=https://c.com/"
+        );
+        assert_eq!(
+            base.join("?next=http://d.com").unwrap().to_string(),
+            "http://a.com/dir/page.html?next=http://d.com"
+        );
+        assert!(base.join("ftp://e.com/").is_err(), "still absolute");
     }
 
     #[test]
