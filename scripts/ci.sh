@@ -22,73 +22,58 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q (workspace)"
+# Every crate's tests plus the root package's cross-crate suites, each run
+# once here:
+#
+# - store: the dataset store round trip.
+# - chaos: the adversarial chaos suite (hostile web, 1 vs 8 threads).
+# - store_torture: store crash consistency. The suite bounds its sweep to a
+#   fixed budget of crash points unless BFU_TORTURE_FULL is set, in which
+#   case it kills the store at every single backend op.
+# - fabric_torture: kill the survey fabric at every worker/coordinator step
+#   AND partition the whole-object backend at every op (delayed visibility,
+#   stale reads/lists, lost replays under chaos), AND run the whole fabric
+#   over a hostile wire (dropped/truncated/stalled/duplicated/reordered
+#   frames, elected coordinator killed at every coordinator step with a
+#   standby finishing), AND over a 3-replica quorum store — any one replica
+#   killed at every one of its ops, partitioned for every window, killed
+#   together with a worker, rejoining empty and caught up by anti-entropy,
+#   the CAS primary dead from the start — proving every schedule recovers
+#   to the single-process fingerprint.
+# - objstore_torture: the whole-object backend: every-op crash sweep with
+#   process-restart recovery, manifest old-or-new on both publish lowerings
+#   (versioned put and copy+delete rename, including the window between
+#   copy and delete), chaos-partitioned store runs, the shuffled-listing
+#   regression, plus the replica dimension — any single replica killed at
+#   any of its ops with no error surfacing, stale R=1 reads caught by
+#   visibility retries and healed by scrub, and a replayed mutation past
+#   the server's replay window refused typed instead of silently
+#   re-executed.
+# - fabric_proc: the cross-process fabric. Two real OS worker processes
+#   coordinating only through the object store must fingerprint
+#   identically to a single-process LocalFs run, a worker process dying
+#   mid-run must be fenced and its leases reassigned, and the networked
+#   variant — coordinator and workers dialing an ObjectServer over real
+#   localhost TCP sockets, the coordinator under an elected CAS-fenced
+#   term — must land on the same fingerprint with remote-op and election
+#   counters in the provenance sidecar.
+# - proptests: no-panic property tests plus the engine differential suite:
+#   random token soup and mutated programs must produce identical
+#   outcomes, fuel, heap, and string accounting under the tree-walk oracle
+#   and the bytecode VM, and whole random crawls must fingerprint
+#   identically engine to engine. The chaos suite extends the same gate to
+#   a 200-site hostile web.
 cargo test --workspace -q
 
-echo "==> store round-trip (integration)"
-cargo test -q --test store
-
-echo "==> adversarial chaos suite (hostile web, 1 vs 8 threads)"
-cargo test -q --test chaos
-
-echo "==> store crash-consistency torture (bounded; BFU_TORTURE_FULL=1 = exhaustive)"
-# The integration suite bounds its sweep to a fixed budget of crash points
-# unless BFU_TORTURE_FULL is set, in which case it kills the store at every
-# single backend op — and the standalone binary re-proves the exhaustive
-# sweep end to end in release mode.
-cargo test -q --test store_torture
 if [[ "${BFU_TORTURE_FULL:-0}" == "1" ]]; then
+    echo "==> store and fabric torture (exhaustive, release)"
+    # The standalone binaries re-prove the exhaustive store crash sweep and
+    # the fabric's kill, partition, and kill x partition sweeps end to end.
     TORTURE_OUT=$(mktemp)
     cargo run -q --release -p bfu-bench --bin store_torture -- --out "$TORTURE_OUT"
-    rm -f "$TORTURE_OUT"
-fi
-
-echo "==> fabric crash-mid-lease + partition + network + replica torture (bounded; BFU_TORTURE_FULL=1 = exhaustive)"
-# Kill the survey fabric at every worker/coordinator step AND partition the
-# whole-object backend at every op (delayed visibility, stale reads/lists,
-# lost replays under chaos), AND run the whole fabric over a hostile wire
-# (dropped/truncated/stalled/duplicated/reordered frames, elected
-# coordinator killed at every coordinator step with a standby finishing),
-# AND over a 3-replica quorum store — any one replica killed at every one
-# of its ops, partitioned for every window, killed together with a worker,
-# rejoining empty and caught up by anti-entropy, the CAS primary dead from
-# the start — proving every schedule recovers to the single-process
-# fingerprint; the standalone binary re-proves the exhaustive kill,
-# partition, and kill×partition sweeps in release.
-cargo test -q --test fabric_torture
-if [[ "${BFU_TORTURE_FULL:-0}" == "1" ]]; then
-    TORTURE_OUT=$(mktemp)
     cargo run -q --release -p bfu-bench --bin fabric_torture -- --out "$TORTURE_OUT"
     rm -f "$TORTURE_OUT"
 fi
-
-echo "==> object-store torture (crash sweep, publish windows, listing order, replica quorums)"
-# The whole-object backend: every-op crash sweep with process-restart
-# recovery, manifest old-or-new on both publish lowerings (versioned put
-# and copy+delete rename, including the window between copy and delete),
-# chaos-partitioned store runs, the shuffled-listing regression, plus the
-# replica dimension — any single replica killed at any of its ops with no
-# error surfacing, stale R=1 reads caught by visibility retries and healed
-# by scrub, and a replayed mutation past the server's replay window
-# refused typed instead of silently re-executed.
-cargo test -q --test objstore_torture
-
-echo "==> cross-process fabric (real worker processes; DirObjectStore + real TCP)"
-# Two real OS worker processes coordinating only through the object store
-# must fingerprint identically to a single-process LocalFs run, a worker
-# process dying mid-run must be fenced and its leases reassigned, and the
-# networked variant — coordinator and workers dialing an ObjectServer over
-# real localhost TCP sockets, the coordinator under an elected CAS-fenced
-# term — must land on the same fingerprint with remote-op and election
-# counters in the provenance sidecar.
-cargo test -q --test fabric_proc
-
-echo "==> no-panic property tests + engine differential (tree-walk vs VM)"
-# proptests include the engine differential suite: random token soup and
-# mutated programs must produce identical outcomes, fuel, heap, and string
-# accounting under the tree-walk oracle and the bytecode VM, and whole
-# random crawls must fingerprint identically engine to engine. The chaos
-# suite above extends the same gate to a 200-site hostile web.
-cargo test -q --test proptests
 
 echo "==> crawl_bench smoke (engine x cache grid fingerprints + live caches)"
 # Small scale: correctness gate, not a performance measurement. crawl_bench
