@@ -29,7 +29,7 @@ use std::sync::{OnceLock, RwLock};
 /// assert_eq!(a, b);
 /// assert_eq!(a.as_str(), "querySelector");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Atom(u32);
 
 /// The process-wide atom table. Strings are leaked on first intern so
@@ -101,6 +101,14 @@ impl Atom {
     /// dependent and must never influence measured output.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// Prints the name (`Atom("x")`), never the scheduling-dependent id, so
+/// diagnostics that embed an atom read the same in every run.
+impl std::fmt::Debug for Atom {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Atom").field(&self.as_str()).finish()
     }
 }
 
@@ -210,6 +218,13 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "globalAtomTest");
         assert_eq!(c.as_str(), "globalAtomTestOther");
+    }
+
+    #[test]
+    fn atom_debug_prints_the_name() {
+        let a = Atom::intern("atomDebugName");
+        assert_eq!(format!("{a:?}"), r#"Atom("atomDebugName")"#);
+        assert_eq!(format!("{:?}", Some(a)), r#"Some(Atom("atomDebugName"))"#);
     }
 
     #[test]
