@@ -336,6 +336,55 @@ mod tests {
     }
 
     #[test]
+    fn lead_byte_edge_cases() {
+        let id = |s| Tok::Ident(Atom::intern(s));
+        let ok = |toks: Vec<(Tok, u32)>| {
+            Ok(toks
+                .into_iter()
+                .map(|(tok, line)| SpannedTok { tok, line })
+                .collect())
+        };
+        let err = |message: &str, line| {
+            Err(LexError {
+                message: message.into(),
+                line,
+            })
+        };
+        let cases: Vec<(&str, Result<Vec<SpannedTok>, LexError>)> = vec![
+            (
+                "a/b",
+                ok(vec![(id("a"), 1), (Tok::Op("/"), 1), (id("b"), 1)]),
+            ),
+            (
+                "a /= 2",
+                ok(vec![(id("a"), 1), (Tok::Op("/="), 1), (Tok::Num(2.0), 1)]),
+            ),
+            ("a // c\nb", ok(vec![(id("a"), 1), (id("b"), 2)])),
+            ("/**/x", ok(vec![(id("x"), 1)])),
+            ("/*/", err("unterminated comment", 1)),
+            ("x ===", ok(vec![(id("x"), 1), (Tok::Op("==="), 1)])),
+            ("x !==", ok(vec![(id("x"), 1), (Tok::Op("!=="), 1)])),
+            (
+                "a<=b>=c",
+                ok(vec![
+                    (id("a"), 1),
+                    (Tok::Op("<="), 1),
+                    (id("b"), 1),
+                    (Tok::Op(">="), 1),
+                    (id("c"), 1),
+                ]),
+            ),
+            (".5", ok(vec![(Tok::Op("."), 1), (Tok::Num(5.0), 1)])),
+            ("1.2.3", err(r#"bad number "1.2.3""#, 1)),
+            ("a\r\n\x0cb", ok(vec![(id("a"), 1), (id("b"), 2)])),
+            (r"'a\qb'", ok(vec![(Tok::Str("aqb".into()), 1)])),
+        ];
+        for (src, want) in cases {
+            assert_eq!(lex(src), want, "{src:?}");
+        }
+    }
+
+    #[test]
     fn errors_carry_line() {
         let err = lex("ok\n  @").unwrap_err();
         assert_eq!(err.line, 2);

@@ -7,15 +7,21 @@
 //! points — the benchmark's `paper-light` crawl shape, a script-heavy web
 //! (inert library bundles at weight 400), a hostile web under tight
 //! budgets, and a web whose network resets, stalls, truncates and garbles
-//! exchanges — to values recorded from an earlier commit. A change that moves
-//! a measurement must update the pins here, in its own diff, and say why.
+//! exchanges — to values recorded from an earlier commit. A fifth pin hashes
+//! the parser's output on every script a small web serves, including the
+//! bundle code a crawl never runs and so no fingerprint sees. A change that
+//! moves a measurement must update the pins here, in its own diff, and say
+//! why.
 
 use bfu_analysis::report::render_table2;
 use bfu_core::{Study, StudyConfig};
 use bfu_crawler::{BrowserConfig, BrowserProfile, CrawlError, Dataset, Survey};
 use bfu_net::{FaultKind, FaultPlan, HostFault};
-use bfu_util::fnv64;
-use bfu_webgen::{HostilePlan, SiteId, SyntheticWeb, WebConfig};
+use bfu_script::parser;
+use bfu_util::{fnv64, Fnv64};
+use bfu_webgen::script_gen::generate_script;
+use bfu_webgen::site::Party;
+use bfu_webgen::{HostileClass, HostilePlan, SiteId, SyntheticWeb, WebConfig};
 
 /// The study shape of the `paper-light` benchmark workload (all four
 /// profiles, 2 rounds of 3 pages) at `sites` sites.
@@ -153,5 +159,67 @@ fn network_faults_are_pinned() {
         "network-faults",
         pin_of(&survey, dataset, config),
         (0x1c4c_9e8f_8601_1f10, 0xd8c7_b9be_0523_a888),
+    );
+}
+
+/// Every script the first three pages of each site serve, as the site and
+/// party servers generate them, in plan order.
+fn served_scripts(sites: usize, seed: u64, script_weight: u32) -> Vec<String> {
+    let web = SyntheticWeb::generate(WebConfig {
+        sites,
+        seed,
+        script_weight,
+    });
+    let core = web.core();
+    let mut out = Vec::new();
+    for plan in &core.plans {
+        for page in 0..plan.pages.len().min(3) {
+            let script = |party, host| {
+                generate_script(plan, page, party, host, &core.registry, script_weight)
+            };
+            out.push(script(Party::First, None));
+            for party in plan.embedded_parties() {
+                let host = &core.ecosystem.party(party).host;
+                out.push(script(Party::Third(party), Some(host)));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn script_front_end_is_pinned() {
+    let mut sources = served_scripts(20, 1, 0);
+    sources.extend(served_scripts(4, 2, 400));
+    sources.extend(HostileClass::ALL.iter().map(|class| class.script()));
+    // The depth guard's edges: the first of each pair is the deepest
+    // source that parses, the second the shallowest that fails.
+    for depth in [62, 63] {
+        let (open, close) = ("(".repeat(depth), ")".repeat(depth));
+        sources.push(format!("var x = {open}1{close};"));
+        let (open, close) = ("[".repeat(depth), "]".repeat(depth));
+        sources.push(format!("var a = {open}1{close};"));
+    }
+    for depth in [125, 126] {
+        sources.push(format!("var n = {}1;", "!".repeat(depth)));
+    }
+    for depth in [128, 129] {
+        sources.push(format!("{}{}", "{".repeat(depth), "}".repeat(depth)));
+    }
+    let mut digest = Fnv64::new();
+    let mut errors = 0;
+    for src in &sources {
+        let parsed = parser::parse(src);
+        errors += usize::from(parsed.is_err());
+        digest.write_str(&format!("{parsed:?}"));
+    }
+    let got = (sources.len(), errors, digest.finish());
+    assert_eq!(
+        got,
+        (433, 6, 0x98af_68fc_66be_e623),
+        "script front end: (sources, parse errors, digest) = ({}, {}, {:#018x})",
+        got.0,
+        got.1,
+        got.2
     );
 }
