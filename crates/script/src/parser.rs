@@ -45,9 +45,36 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     Ok(Program { body })
 }
 
-/// Maximum grammar-recursion depth. Each level costs a dozen-odd native
-/// stack frames (the full precedence chain), so this bounds parser stack use
-/// far below any thread's stack while accepting any plausible real script.
+/// The node a binary operator builds.
+#[derive(Clone, Copy)]
+enum Infix {
+    Logical(LogicalOp),
+    Binary(BinOp),
+}
+
+/// The binary operators with their precedence, loosest first.
+const BINARY: [(&str, u8, Infix); 15] = [
+    ("||", 0, Infix::Logical(LogicalOp::Or)),
+    ("&&", 1, Infix::Logical(LogicalOp::And)),
+    ("==", 2, Infix::Binary(BinOp::Eq)),
+    ("!=", 2, Infix::Binary(BinOp::Ne)),
+    ("===", 2, Infix::Binary(BinOp::StrictEq)),
+    ("!==", 2, Infix::Binary(BinOp::StrictNe)),
+    ("<", 3, Infix::Binary(BinOp::Lt)),
+    ("<=", 3, Infix::Binary(BinOp::Le)),
+    (">", 3, Infix::Binary(BinOp::Gt)),
+    (">=", 3, Infix::Binary(BinOp::Ge)),
+    ("+", 4, Infix::Binary(BinOp::Add)),
+    ("-", 4, Infix::Binary(BinOp::Sub)),
+    ("*", 5, Infix::Binary(BinOp::Mul)),
+    ("/", 5, Infix::Binary(BinOp::Div)),
+    ("%", 5, Infix::Binary(BinOp::Rem)),
+];
+
+/// Maximum grammar-recursion depth. Each level costs about ten native
+/// stack frames (assignment down to primary), so this bounds parser stack
+/// use far below any thread's stack while accepting any plausible real
+/// script.
 const MAX_PARSE_DEPTH: u32 = 128;
 
 struct Parser {
@@ -75,10 +102,12 @@ impl Parser {
         self.toks.get(self.pos).map_or(0, |t| t.line)
     }
 
+    /// Move the current token out: the parser never reads a consumed token
+    /// again, only its line.
     fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+        let t = self.toks.get_mut(self.pos);
         self.pos += 1;
-        t
+        t.map(|t| std::mem::replace(&mut t.tok, Tok::Op("")))
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -311,7 +340,7 @@ impl Parser {
     }
 
     fn conditional(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.logical_or()?;
+        let cond = self.binary(0)?;
         if self.eat_op("?") {
             let then = self.assignment()?;
             self.expect_op(":")?;
@@ -326,105 +355,31 @@ impl Parser {
         }
     }
 
-    fn logical_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.logical_and()?;
-        while self.eat_op("||") {
-            let rhs = self.logical_and()?;
-            lhs = Expr::Logical {
-                op: LogicalOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn logical_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.equality()?;
-        while self.eat_op("&&") {
-            let rhs = self.equality()?;
-            lhs = Expr::Logical {
-                op: LogicalOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Op("==")) => BinOp::Eq,
-                Some(Tok::Op("!=")) => BinOp::Ne,
-                Some(Tok::Op("===")) => BinOp::StrictEq,
-                Some(Tok::Op("!==")) => BinOp::StrictNe,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.relational()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn relational(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Op("<")) => BinOp::Lt,
-                Some(Tok::Op("<=")) => BinOp::Le,
-                Some(Tok::Op(">")) => BinOp::Gt,
-                Some(Tok::Op(">=")) => BinOp::Ge,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.additive()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Tok::Op("+")) => BinOp::Add,
-                Some(Tok::Op("-")) => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
+    /// Precedence climbing: a run of binary operators that bind at least as
+    /// tightly as `min`, left associative, over unary operands.
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
         loop {
-            let op = match self.peek() {
-                Some(Tok::Op("*")) => BinOp::Mul,
-                Some(Tok::Op("/")) => BinOp::Div,
-                Some(Tok::Op("%")) => BinOp::Rem,
-                _ => return Ok(lhs),
+            let Some(Tok::Op(op)) = self.peek() else {
+                return Ok(lhs);
             };
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            let Some(&(_, prec, infix)) = BINARY.iter().find(|&&(o, p, _)| o == *op && p >= min)
+            else {
+                return Ok(lhs);
+            };
+            self.pos += 1;
+            let (lhs_box, rhs) = (Box::new(lhs), Box::new(self.binary(prec + 1)?));
+            lhs = match infix {
+                Infix::Logical(op) => Expr::Logical {
+                    op,
+                    lhs: lhs_box,
+                    rhs,
+                },
+                Infix::Binary(op) => Expr::Binary {
+                    op,
+                    lhs: lhs_box,
+                    rhs,
+                },
             };
         }
     }

@@ -1,10 +1,18 @@
 //! Lexer for the mini-JS language.
 //!
-//! Identifiers are interned into the process-wide atom table as they are
-//! lexed, so everything downstream (parser, interpreter, heap) works with
-//! `u32` atoms instead of owned strings.
+//! One pass over the source that dispatches on each token's lead byte;
+//! operators are matched on up to three bytes of lookahead, longest first.
+//!
+//! Identifiers are interned into the process-wide atom table, so everything
+//! downstream (parser, interpreter, heap) works with `u32` atoms instead of
+//! owned strings. Each call resolves names through a map of its own and
+//! consults the global table once per distinct name: that table sits behind
+//! an `RwLock` that every crawl thread shares, and a bundle-shaped script
+//! repeats a few dozen names thousands of times, so interning every
+//! occurrence left two crawl threads contending on the lock.
 
 use bfu_util::Atom;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Keywords of the language.
@@ -109,147 +117,149 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-const OPS: &[&str] = &[
-    // Longest first so maximal munch works.
-    "===", "!==", "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "++", "--", "+", "-",
-    "*", "/", "%", "<", ">", "=", "!", "(", ")", "{", "}", "[", "]", ",", ";", ".", ":", "?",
-];
-
 /// Tokenize mini-JS source.
 pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    // Past the end reads as NUL, which no dispatch arm below matches.
+    let at = |k: usize| bytes.get(k).copied().unwrap_or(0);
+    // Bundle-shaped scripts run about 2.6 bytes per token.
+    let mut out = Vec::with_capacity(src.len() / 2);
+    let mut atoms: HashMap<&str, Atom> = HashMap::new();
     let mut i = 0;
     let mut line = 1u32;
-    'outer: while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c == '\n' {
-            line += 1;
-            i += 1;
-            continue;
-        }
-        if c.is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        if src[i..].starts_with("//") {
-            while i < bytes.len() && bytes[i] != b'\n' {
+    while i < bytes.len() {
+        let start = i;
+        let tok = match bytes[i] {
+            b'\n' => {
+                line += 1;
                 i += 1;
+                continue;
             }
-            continue;
-        }
-        if src[i..].starts_with("/*") {
-            let start = line;
-            i += 2;
-            loop {
-                if i + 1 >= bytes.len() {
+            b' ' | b'\t' | b'\r' | b'\x0c' => {
+                i += 1;
+                continue;
+            }
+            b'/' if at(i + 1) == b'/' => {
+                i += bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap_or(bytes.len() - i);
+                continue;
+            }
+            b'/' if at(i + 1) == b'*' => {
+                let body = &bytes[i + 2..];
+                let Some(end) = body.windows(2).position(|w| w == b"*/") else {
                     return Err(LexError {
                         message: "unterminated comment".into(),
-                        line: start,
+                        line,
                     });
-                }
-                if bytes[i] == b'\n' {
-                    line += 1;
-                }
-                if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                    i += 2;
-                    continue 'outer;
-                }
-                i += 1;
+                };
+                line += body[..end].iter().filter(|&&b| b == b'\n').count() as u32;
+                i += end + 4;
+                continue;
             }
-        }
-        if c == '"' || c == '\'' {
-            let quote = c;
-            let start_line = line;
-            i += 1;
-            let mut s = String::new();
-            loop {
-                if i >= bytes.len() {
+            quote @ (b'"' | b'\'') => {
+                i += 1;
+                let mut s = String::new();
+                loop {
+                    let run = bytes[i..]
+                        .iter()
+                        .position(|&b| b == quote || b == b'\\' || b == b'\n')
+                        .unwrap_or(bytes.len() - i);
+                    s.extend(bytes[i..i + run].iter().map(|&b| char::from(b)));
+                    i += run;
+                    let message = match (at(i), bytes.get(i + 1)) {
+                        (b, _) if b == quote => {
+                            i += 1;
+                            break;
+                        }
+                        (b'\\', Some(&esc)) => {
+                            s.push(match esc {
+                                b'n' => '\n',
+                                b't' => '\t',
+                                other => char::from(other),
+                            });
+                            i += 2;
+                            continue;
+                        }
+                        (b'\n', _) => "newline in string",
+                        _ => "unterminated string",
+                    };
                     return Err(LexError {
-                        message: "unterminated string".into(),
-                        line: start_line,
+                        message: message.into(),
+                        line,
                     });
                 }
-                let ch = bytes[i] as char;
-                if ch == quote {
+                Tok::Str(s)
+            }
+            b'0'..=b'9' => {
+                while matches!(at(i), b'0'..=b'9' | b'.') {
                     i += 1;
-                    break;
                 }
-                if ch == '\n' {
-                    return Err(LexError {
-                        message: "newline in string".into(),
-                        line: start_line,
-                    });
-                }
-                if ch == '\\' && i + 1 < bytes.len() {
-                    let esc = bytes[i + 1] as char;
-                    s.push(match esc {
-                        'n' => '\n',
-                        't' => '\t',
-                        '\\' => '\\',
-                        '\'' => '\'',
-                        '"' => '"',
-                        other => other,
-                    });
-                    i += 2;
-                    continue;
-                }
-                s.push(ch);
-                i += 1;
-            }
-            out.push(SpannedTok {
-                tok: Tok::Str(s),
-                line: start_line,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
-                i += 1;
-            }
-            let text = &src[start..i];
-            let n: f64 = text.parse().map_err(|_| LexError {
-                message: format!("bad number {text:?}"),
-                line,
-            })?;
-            out.push(SpannedTok {
-                tok: Tok::Num(n),
-                line,
-            });
-            continue;
-        }
-        if c.is_ascii_alphabetic() || c == '_' || c == '$' {
-            let start = i;
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric()
-                    || bytes[i] == b'_'
-                    || bytes[i] == b'$')
-            {
-                i += 1;
-            }
-            let word = &src[start..i];
-            let tok = match Keyword::from_str(word) {
-                Some(kw) => Tok::Kw(kw),
-                None => Tok::Ident(Atom::intern(word)),
-            };
-            out.push(SpannedTok { tok, line });
-            continue;
-        }
-        for op in OPS {
-            if src[i..].starts_with(op) {
-                out.push(SpannedTok {
-                    tok: Tok::Op(op),
+                let text = &src[start..i];
+                Tok::Num(text.parse().map_err(|_| LexError {
+                    message: format!("bad number {text:?}"),
                     line,
-                });
-                i += op.len();
-                continue 'outer;
+                })?)
             }
-        }
-        return Err(LexError {
-            message: format!("unexpected character {c:?}"),
-            line,
-        });
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' | b'$' => {
+                while matches!(at(i), b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_' | b'$') {
+                    i += 1;
+                }
+                let word = &src[start..i];
+                match Keyword::from_str(word) {
+                    Some(kw) => Tok::Kw(kw),
+                    None => Tok::Ident(*atoms.entry(word).or_insert_with(|| Atom::intern(word))),
+                }
+            }
+            lead => {
+                let op = match (lead, at(i + 1), at(i + 2)) {
+                    (b'=', b'=', b'=') => "===",
+                    (b'!', b'=', b'=') => "!==",
+                    (b'=', b'=', _) => "==",
+                    (b'!', b'=', _) => "!=",
+                    (b'<', b'=', _) => "<=",
+                    (b'>', b'=', _) => ">=",
+                    (b'&', b'&', _) => "&&",
+                    (b'|', b'|', _) => "||",
+                    (b'+', b'=', _) => "+=",
+                    (b'-', b'=', _) => "-=",
+                    (b'*', b'=', _) => "*=",
+                    (b'/', b'=', _) => "/=",
+                    (b'+', b'+', _) => "++",
+                    (b'-', b'-', _) => "--",
+                    (b'+', ..) => "+",
+                    (b'-', ..) => "-",
+                    (b'*', ..) => "*",
+                    (b'/', ..) => "/",
+                    (b'%', ..) => "%",
+                    (b'<', ..) => "<",
+                    (b'>', ..) => ">",
+                    (b'=', ..) => "=",
+                    (b'!', ..) => "!",
+                    (b'(', ..) => "(",
+                    (b')', ..) => ")",
+                    (b'{', ..) => "{",
+                    (b'}', ..) => "}",
+                    (b'[', ..) => "[",
+                    (b']', ..) => "]",
+                    (b',', ..) => ",",
+                    (b';', ..) => ";",
+                    (b'.', ..) => ".",
+                    (b':', ..) => ":",
+                    (b'?', ..) => "?",
+                    _ => {
+                        return Err(LexError {
+                            message: format!("unexpected character {:?}", char::from(lead)),
+                            line,
+                        })
+                    }
+                };
+                i += op.len();
+                Tok::Op(op)
+            }
+        };
+        out.push(SpannedTok { tok, line });
     }
     Ok(out)
 }
