@@ -166,20 +166,20 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                         .iter()
                         .position(|&b| b == quote || b == b'\\' || b == b'\n')
                         .unwrap_or(bytes.len() - i);
-                    s.extend(bytes[i..i + run].iter().map(|&b| char::from(b)));
+                    s.push_str(&src[i..i + run]);
                     i += run;
-                    let message = match (at(i), bytes.get(i + 1)) {
+                    let message = match (at(i), src[i..].chars().nth(1)) {
                         (b, _) if b == quote => {
                             i += 1;
                             break;
                         }
-                        (b'\\', Some(&esc)) => {
+                        (b'\\', Some(esc)) => {
                             s.push(match esc {
-                                b'n' => '\n',
-                                b't' => '\t',
-                                other => char::from(other),
+                                'n' => '\n',
+                                't' => '\t',
+                                other => other,
                             });
-                            i += 2;
+                            i += 1 + esc.len_utf8();
                             continue;
                         }
                         (b'\n', _) => "newline in string",
@@ -249,10 +249,11 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                     (b':', ..) => ":",
                     (b'?', ..) => "?",
                     _ => {
+                        let c = src[i..].chars().next().unwrap_or(char::from(lead));
                         return Err(LexError {
-                            message: format!("unexpected character {:?}", char::from(lead)),
+                            message: format!("unexpected character {c:?}"),
                             line,
-                        })
+                        });
                     }
                 };
                 i += op.len();
@@ -392,6 +393,26 @@ mod tests {
         for (src, want) in cases {
             assert_eq!(lex(src), want, "{src:?}");
         }
+    }
+
+    #[test]
+    fn non_ascii_text_is_kept_whole() {
+        assert_eq!(
+            toks(r#"'é' "日本" '\é' 'a\日b'"#),
+            vec![
+                Tok::Str("é".into()),
+                Tok::Str("日本".into()),
+                Tok::Str("é".into()),
+                Tok::Str("a日b".into()),
+            ]
+        );
+        assert_eq!(
+            lex("var x;\nvar é = 1;"),
+            Err(LexError {
+                message: "unexpected character 'é'".into(),
+                line: 2,
+            })
+        );
     }
 
     #[test]
