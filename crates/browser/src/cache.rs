@@ -11,15 +11,16 @@
 //!   so identical frame bodies recur across thousands of pages; extracting
 //!   their `<script>` tags once replaces a full `html::parse` per visit.
 //!
-//! Both lookups are pure functions of content, so sharing them cannot
-//! change any measurement — see the determinism notes on
-//! [`bfu_script::cache`].
+//! Both lookups are pure functions of content, and both confirm every hit
+//! against the stored content rather than trusting the 64-bit key, so
+//! sharing them cannot change any measurement — see the determinism notes
+//! on [`bfu_script::cache`].
 
 use bfu_dom::html;
 use bfu_script::cache::CacheStats;
 use bfu_script::ScriptCache;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One script resource extracted from a frame document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,8 +62,12 @@ pub fn extract_frame_scripts(frame_body: &str) -> Vec<FrameScript> {
 #[derive(Debug, Default)]
 pub struct CompileCache {
     scripts: ScriptCache,
-    frames: Mutex<HashMap<u64, Arc<Vec<FrameScript>>>>,
+    frames: Mutex<HashMap<u64, FrameBodies>>,
 }
+
+/// Every distinct frame body under one content hash (one, barring a
+/// collision), each with its extracted scripts.
+type FrameBodies = Vec<(Box<str>, Arc<Vec<FrameScript>>)>;
 
 impl CompileCache {
     /// An empty cache.
@@ -83,24 +88,31 @@ impl CompileCache {
     /// The extracted script list for a frame body, parsed at most once per
     /// distinct body content.
     pub fn frame_scripts(&self, frame_body: &str) -> Arc<Vec<FrameScript>> {
-        let key = ScriptCache::content_hash(frame_body);
-        let mut frames = match self.frames.lock() {
-            Ok(f) => f,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(cached) = frames.get(&key) {
+        self.frame_scripts_keyed(ScriptCache::content_hash(frame_body), frame_body)
+    }
+
+    /// [`CompileCache::frame_scripts`] under a given key. A hit must match
+    /// the stored body, so bodies sharing a key keep their own lists.
+    fn frame_scripts_keyed(&self, key: u64, frame_body: &str) -> Arc<Vec<FrameScript>> {
+        let mut frames = self.lock_frames();
+        let bodies = frames.entry(key).or_default();
+        if let Some((_, cached)) = bodies.iter().find(|(body, _)| **body == *frame_body) {
             return Arc::clone(cached);
         }
         let extracted = Arc::new(extract_frame_scripts(frame_body));
-        frames.insert(key, Arc::clone(&extracted));
+        bodies.push((frame_body.into(), Arc::clone(&extracted)));
         extracted
     }
 
     /// Distinct frame bodies resident.
     pub fn unique_frames(&self) -> usize {
+        self.lock_frames().values().map(Vec::len).sum()
+    }
+
+    fn lock_frames(&self) -> MutexGuard<'_, HashMap<u64, FrameBodies>> {
         match self.frames.lock() {
-            Ok(f) => f.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
+            Ok(f) => f,
+            Err(poisoned) => poisoned.into_inner(),
         }
     }
 }
@@ -136,6 +148,22 @@ mod tests {
         let c = cache.frame_scripts("<html><script>g();</script></html>");
         assert!(Arc::ptr_eq(&a, &b));
         assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(cache.unique_frames(), 2);
+    }
+
+    #[test]
+    fn colliding_frame_bodies_keep_their_own_scripts() {
+        let cache = CompileCache::new();
+        let (f, g) = (
+            "<html><script>f();</script></html>",
+            "<html><script>g();</script></html>",
+        );
+        let a = cache.frame_scripts_keyed(7, f);
+        let b = cache.frame_scripts_keyed(7, g);
+        assert_eq!(*a, extract_frame_scripts(f));
+        assert_eq!(*b, extract_frame_scripts(g));
+        assert!(Arc::ptr_eq(&cache.frame_scripts_keyed(7, g), &b));
+        assert!(Arc::ptr_eq(&cache.frame_scripts_keyed(7, f), &a));
         assert_eq!(cache.unique_frames(), 2);
     }
 

@@ -17,7 +17,7 @@
 //! [`crate::api`]).
 //!
 //! The resulting [`Page`] exposes the interaction surface the monkey
-//! ([`bfu-monkey`]) drives: event dispatch, virtual timers, link extraction,
+//! (`bfu-monkey`) drives: event dispatch, virtual timers, link extraction,
 //! and script-issued network traffic.
 
 use crate::api::{self, ApiSurface, HostEnv};
@@ -28,7 +28,9 @@ use bfu_dom::{html, Document, NodeId};
 use bfu_net::{HttpRequest, NetError, ResourceType, SimNet, Url};
 use bfu_script::cache::{CacheOutcome, ChunkError};
 use bfu_script::interp::Interpreter;
-use bfu_script::{compile, run_chunk, Engine, ResourceBudget, RuntimeError, ScriptError, Value};
+use bfu_script::{
+    compile, run_chunk, Engine, ResourceBudget, RuntimeError, ScriptError, Source, Value,
+};
 use bfu_util::{Instant, VirtualClock};
 use bfu_webidl::FeatureRegistry;
 use std::cell::RefCell;
@@ -305,7 +307,7 @@ impl Browser {
         if !resp.status.is_success() {
             return Err(LoadError::Http(resp.status.0));
         }
-        let body = String::from_utf8_lossy(&resp.body).into_owned();
+        let body = resp.body.text();
 
         // 2. Parse.
         let doc = html::parse(&body);
@@ -343,7 +345,7 @@ impl Browser {
                     host.borrow_mut().now = clock.now();
                     run_page_script(
                         &mut interp,
-                        &src,
+                        src.as_str().into(),
                         &self.config,
                         &mut stats,
                         self.compile_cache.as_deref(),
@@ -366,18 +368,18 @@ impl Browser {
                         }
                         Ok(resp) => match rtype {
                             ResourceType::Script => {
-                                let src = String::from_utf8_lossy(&resp.body).into_owned();
+                                let src = resp.body.text();
                                 host.borrow_mut().now = clock.now();
                                 run_page_script(
                                     &mut interp,
-                                    &src,
+                                    Source::decoded(&src, resp.body.shared()),
                                     &self.config,
                                     &mut stats,
                                     self.compile_cache.as_deref(),
                                 );
                             }
                             ResourceType::SubDocument => {
-                                let frame_body = String::from_utf8_lossy(&resp.body).into_owned();
+                                let frame_body = resp.body.text();
                                 self.load_subdocument(
                                     net,
                                     &res_url,
@@ -470,7 +472,7 @@ impl Browser {
                 FrameScript::Inline(src) => {
                     run_page_script(
                         interp,
-                        src,
+                        src.as_str().into(),
                         &self.config,
                         stats,
                         self.compile_cache.as_deref(),
@@ -489,11 +491,11 @@ impl Browser {
                     }
                     match net.fetch(&req, clock) {
                         Ok(r) if r.status.is_success() => {
-                            let src = String::from_utf8_lossy(&r.body).into_owned();
+                            let src = r.body.text();
                             host.borrow_mut().now = clock.now();
                             run_page_script(
                                 interp,
-                                &src,
+                                Source::decoded(&src, r.body.shared()),
                                 &self.config,
                                 stats,
                                 self.compile_cache.as_deref(),
@@ -593,13 +595,13 @@ fn classify_runtime(stats: &mut LoadStats, e: &RuntimeError) {
 /// crawler can attribute a site loss to the right fault class).
 fn run_page_script(
     interp: &mut Interpreter,
-    src: &str,
+    src: Source<'_>,
     config: &BrowserConfig,
     stats: &mut LoadStats,
     cache: Option<&CompileCache>,
 ) {
     stats.scripts_run += 1;
-    if src.len() > config.max_script_bytes {
+    if src.text().len() > config.max_script_bytes {
         // Parse-phase budget: don't even lex a source bomb. Checked before
         // the cache probe so oversize handling is cache-invariant.
         stats.script_errors += 1;
@@ -611,7 +613,7 @@ fn run_page_script(
         match config.engine {
             Engine::TreeWalk => {
                 interp.set_budget(&config.run_budget());
-                if let Err(e) = interp.run_source(src) {
+                if let Err(e) = interp.run_source(src.text()) {
                     stats.script_errors += 1;
                     match e {
                         ScriptError::Parse(_) => stats.script_parse_errors += 1,
@@ -623,7 +625,7 @@ fn run_page_script(
                 // Parse and compile burn no fuel (budgets are per execution
                 // phase), so the VM path is observably identical to the
                 // tree-walk path for every measurement.
-                let program = match bfu_script::parser::parse(src) {
+                let program = match bfu_script::parser::parse(src.text()) {
                     Ok(p) => p,
                     Err(_) => {
                         stats.script_errors += 1;

@@ -15,7 +15,7 @@
 //!   with origin and registrable-domain logic used by the blockers'
 //!   `third-party` rules.
 //! - [`http`] — HTTP/1.1 request/response types, each knowing its size on
-//!   the wire.
+//!   the wire, with shared [`Body`] payloads.
 //! - [`fault`] — fault injection: dead hosts, per-host fault programs
 //!   (flaky, stall, truncate, error status, corrupt body), background
 //!   resets, extra latency.
@@ -33,7 +33,7 @@ pub mod url;
 pub mod wire;
 
 pub use fault::{FaultKind, FaultOutcome, FaultPlan, HostFault};
-pub use http::{HttpRequest, HttpResponse, ResourceType, StatusCode};
+pub use http::{Body, HttpRequest, HttpResponse, ResourceType, StatusCode};
 pub use sim::{transfer_ms, NetError, Server, SimNet};
 pub use url::Url;
 pub use wire::{WireFault, WireFaultPlan};

@@ -8,7 +8,7 @@
 //! HTTP/1.1 encoding.
 
 use crate::fault::{FaultOutcome, FaultPlan};
-use crate::http::{HttpRequest, HttpResponse, StatusCode};
+use crate::http::{Body, HttpRequest, HttpResponse, StatusCode};
 use bfu_util::{SimRng, VirtualClock};
 use std::collections::HashMap;
 use std::fmt;
@@ -183,8 +183,9 @@ impl SimNet {
         };
         if fault == FaultOutcome::CorruptBody {
             // Garble the body: valid HTTP, broken payload (scripts served
-            // this way no longer parse).
-            response.body = b")]}' bfu-corrupted {{{ ;;; <<<".to_vec();
+            // this way no longer parse). The server's body is shared, so it
+            // is replaced, never written through.
+            response.body = Body::from(&b")]}' bfu-corrupted {{{ ;;; <<<"[..]);
         }
         // A truncated response still crossed the link in full.
         clock.advance(transfer_ms(response.wire_len(), rtt));
@@ -385,6 +386,30 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status, StatusCode::OK);
         assert_ne!(&resp.body[..], b"<html>hi</html>");
+    }
+
+    #[test]
+    fn corrupt_body_never_garbles_the_shared_body() {
+        use crate::fault::{FaultKind, HostFault};
+        let served = Body::from("<script>ok();</script>");
+        let mut net = SimNet::new(SimRng::new(7));
+        let body = served.clone();
+        net.register(
+            "example.com",
+            Arc::new(move |_: &HttpRequest| HttpResponse::html(body.clone())),
+        );
+        net.set_faults(
+            FaultPlan::none()
+                .with_program("example.com", HostFault::flaky(FaultKind::CorruptBody, 1)),
+        );
+        let mut clock = VirtualClock::new();
+        let url = "http://example.com/";
+        let garbled = net.fetch(&get(url), &mut clock).unwrap();
+        assert_eq!(&garbled.body[..], b")]}' bfu-corrupted {{{ ;;; <<<");
+        let next = net.fetch(&get(url), &mut clock).unwrap();
+        assert_eq!(&next.body[..], b"<script>ok();</script>");
+        assert!(Arc::ptr_eq(next.body.shared(), served.shared()));
+        assert_eq!(&served[..], b"<script>ok();</script>");
     }
 
     #[test]

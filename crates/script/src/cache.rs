@@ -8,22 +8,24 @@
 //!
 //! Design:
 //!
-//! - **Keying.** Scripts are keyed by the FNV-64 hash of their source bytes
-//!   (the same [`bfu_util::Fnv64`] the store shards use). Sources the paper's
-//!   crawl sees are generated or fetched text, not adversarially chosen to
-//!   collide a 64-bit hash; on the off chance of a collision the cache would
-//!   serve a wrong-but-valid AST, which the synthetic-web workload cannot
-//!   produce (all sources come from a finite generator).
+//! - **Keying.** Scripts are keyed by [`ScriptCache::content_hash`], a
+//!   word-at-a-time hash of the source bytes, and every entry keeps its
+//!   source. A probe is a hit only if the stored source is the probe's own
+//!   allocation (same pointer and length) or holds equal bytes, so a key
+//!   collision, chance or crafted, costs a second entry and a second parse,
+//!   never another script's program. The stored source is the allocation
+//!   the embedder passed in ([`Source::decoded`]), so a served script body
+//!   is kept, not copied.
 //! - **Negative caching.** Parse *errors* are cached alongside successes.
 //!   [`ParseError`] is a plain value (`Clone + PartialEq`), so a hostile
 //!   malformed script is diagnosed once and every later encounter replays
 //!   the identical error — hit and miss behave bit-identically.
-//! - **Striping.** The map is striped across [`STRIPES`] mutexes chosen by
-//!   hash, so worker threads parsing different scripts rarely contend.
-//!   Parsing happens *under* the stripe lock: two threads racing on the same
-//!   new script serialize, and exactly one parse per unique source ever runs.
-//!   That makes the miss counter deterministic (== unique sources seen), not
-//!   scheduling-dependent.
+//! - **Striping.** Each map is striped across sixteen mutexes chosen by the
+//!   hash's low bits, so worker threads parsing different scripts rarely
+//!   contend. Parsing happens *under* the stripe lock: two threads racing on
+//!   the same new script serialize, and exactly one parse per unique source
+//!   ever runs. That makes the miss counter deterministic (== unique sources
+//!   seen), not scheduling-dependent.
 //! - **Determinism.** Parsing consumes no interpreter fuel (budgets are
 //!   installed per execution phase, after parsing), so replaying a cached
 //!   AST burns exactly the fuel a fresh parse-then-run would. Cached ASTs
@@ -32,11 +34,10 @@
 use crate::ast::Program;
 use crate::compile::{Chunk, CompileError};
 use crate::parser::{parse, ParseError};
-use bfu_util::Fnv64;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of lock stripes. Power of two so stripe selection is a mask; 16
 /// comfortably exceeds the crawler's worker-thread counts.
@@ -73,11 +74,101 @@ impl std::error::Error for ChunkError {}
 /// reason there is none.
 pub type ChunkOutcome = Result<Arc<Chunk>, ChunkError>;
 
-/// One lock stripe of the content-addressed map.
-type Stripe = Mutex<HashMap<u64, ParseOutcome>>;
+/// A script source as the cache sees it: the text, plus the shared
+/// allocation holding exactly those bytes when the embedder has one.
+#[derive(Debug, Clone, Copy)]
+pub struct Source<'a> {
+    text: &'a str,
+    shared: Option<&'a Arc<[u8]>>,
+}
 
-/// One lock stripe of the chunk map.
-type ChunkStripe = Mutex<HashMap<u64, ChunkOutcome>>;
+impl<'a> Source<'a> {
+    /// `text` as decoded from `bytes`. When decoding borrowed the bytes
+    /// (they were valid UTF-8), a cache miss keeps `bytes` instead of
+    /// copying the text; when it replaced invalid bytes, the text is copied.
+    pub fn decoded(text: &'a str, bytes: &'a Arc<[u8]>) -> Self {
+        let borrowed = std::ptr::eq(text.as_bytes(), &bytes[..]);
+        Source {
+            text,
+            shared: borrowed.then_some(bytes),
+        }
+    }
+
+    /// The source text.
+    pub fn text(&self) -> &'a str {
+        self.text
+    }
+
+    /// Whether `stored` holds this source: the same allocation, or else
+    /// equal bytes.
+    fn is(&self, stored: &[u8]) -> bool {
+        std::ptr::eq(stored, self.text.as_bytes()) || stored == self.text.as_bytes()
+    }
+
+    /// The allocation a new entry keeps: the shared one, else a copy.
+    fn to_shared(self) -> Arc<[u8]> {
+        match self.shared {
+            Some(bytes) => Arc::clone(bytes),
+            None => Arc::from(self.text.as_bytes()),
+        }
+    }
+}
+
+impl<'a> From<&'a str> for Source<'a> {
+    fn from(text: &'a str) -> Self {
+        Source { text, shared: None }
+    }
+}
+
+/// One cached source: the bytes every later hit is confirmed against, and
+/// what they produced.
+#[derive(Debug)]
+struct Entry<T> {
+    source: Arc<[u8]>,
+    outcome: T,
+}
+
+/// One lock stripe: content hash → every distinct source with that hash
+/// (one, barring a collision).
+type Stripe<T> = Mutex<HashMap<u64, Vec<Entry<T>>>>;
+
+/// Lock one stripe. A poisoned stripe is still consistent (entries are
+/// inserted whole), so its guard is taken as is.
+fn lock<T>(stripe: &Stripe<T>) -> MutexGuard<'_, HashMap<u64, Vec<Entry<T>>>> {
+    match stripe.lock() {
+        Ok(m) => m,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
+/// The stripe the low bits of `key` select.
+fn stripe<T>(stripes: &[Stripe<T>; STRIPES], key: u64) -> &Stripe<T> {
+    &stripes[(key as usize) & (STRIPES - 1)]
+}
+
+/// The entry for `src` under `key`, if one is resident.
+fn find<'m, T>(
+    map: &'m HashMap<u64, Vec<Entry<T>>>,
+    key: u64,
+    src: &Source<'_>,
+) -> Option<&'m Entry<T>> {
+    map.get(&key)?.iter().find(|e| src.is(&e.source))
+}
+
+/// Number of entries resident across `stripes`.
+fn entries<T>(stripes: &[Stripe<T>; STRIPES]) -> u64 {
+    let n: usize = stripes
+        .iter()
+        .map(|s| lock(s).values().map(Vec::len).sum::<usize>())
+        .sum();
+    n as u64
+}
+
+/// The 128-bit product of `a` and `b`, its high half folded onto its low.
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
+}
 
 /// What one cache probe observed (for the embedder's per-page stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,11 +235,11 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct ScriptCache {
-    stripes: [Stripe; STRIPES],
+    stripes: [Stripe<ParseOutcome>; STRIPES],
     hits: AtomicU64,
     misses: AtomicU64,
     negative_hits: AtomicU64,
-    chunk_stripes: [ChunkStripe; STRIPES],
+    chunk_stripes: [Stripe<ChunkOutcome>; STRIPES],
     chunk_hits: AtomicU64,
     chunk_misses: AtomicU64,
     chunk_negative_hits: AtomicU64,
@@ -160,31 +251,44 @@ impl ScriptCache {
         ScriptCache::default()
     }
 
-    /// The FNV-64 content hash used as the cache key for `src`.
+    /// The cache key for `src`: its bytes hashed eight at a time, each word
+    /// mixed in by a folded 128-bit multiply, so the low bits that pick a
+    /// stripe depend on every input bit.
     pub fn content_hash(src: &str) -> u64 {
-        let mut h = Fnv64::new();
-        h.write(src.as_bytes());
-        h.finish()
+        // 2^64 divided by the golden ratio: odd, with no bit pattern.
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let (words, tail) = src.as_bytes().as_chunks::<8>();
+        let mut h = src.len() as u64;
+        for word in words {
+            h = fold_mul(h ^ u64::from_le_bytes(*word), K);
+        }
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        fold_mul(h ^ u64::from_le_bytes(last), K)
     }
 
     /// Parse `src`, or reuse the cached result for identical source.
     ///
     /// Returns the shared program on success, or a replay of the cached
     /// [`ParseError`] for source already known to be malformed.
-    pub fn lookup_or_parse(&self, src: &str) -> ParseOutcome {
+    pub fn lookup_or_parse<'a>(&self, src: impl Into<Source<'a>>) -> ParseOutcome {
         self.lookup_or_parse_counted(src).0
     }
 
     /// [`ScriptCache::lookup_or_parse`] plus what the probe observed.
-    pub fn lookup_or_parse_counted(&self, src: &str) -> (ParseOutcome, CacheOutcome) {
-        let key = ScriptCache::content_hash(src);
-        let stripe = &self.stripes[(key as usize) & (STRIPES - 1)];
-        let mut map = match stripe.lock() {
-            Ok(m) => m,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(cached) = map.get(&key) {
-            let outcome = match cached {
+    pub fn lookup_or_parse_counted<'a>(
+        &self,
+        src: impl Into<Source<'a>>,
+    ) -> (ParseOutcome, CacheOutcome) {
+        let src = src.into();
+        self.parse_keyed(ScriptCache::content_hash(src.text), src)
+    }
+
+    /// [`ScriptCache::lookup_or_parse_counted`] under a given key.
+    fn parse_keyed(&self, key: u64, src: Source<'_>) -> (ParseOutcome, CacheOutcome) {
+        let mut map = lock(stripe(&self.stripes, key));
+        if let Some(cached) = find(&map, key, &src) {
+            let outcome = match cached.outcome {
                 Ok(_) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     CacheOutcome::Hit
@@ -194,13 +298,16 @@ impl ScriptCache {
                     CacheOutcome::NegativeHit
                 }
             };
-            return (cached.clone(), outcome);
+            return (cached.outcome.clone(), outcome);
         }
         // Parse under the stripe lock: a second thread racing on the same
         // source waits here and then hits, so misses count unique sources
         // exactly and no parse ever runs twice.
-        let result = parse(src).map(Arc::new);
-        map.insert(key, result.clone());
+        let result = parse(src.text).map(Arc::new);
+        map.entry(key).or_default().push(Entry {
+            source: src.to_shared(),
+            outcome: result.clone(),
+        });
         self.misses.fetch_add(1, Ordering::Relaxed);
         (result, CacheOutcome::Miss)
     }
@@ -213,20 +320,24 @@ impl ScriptCache {
     /// one count), then lowers the program. Parse *and* compile failures are
     /// cached negatively, so a malformed or uncompilable source is diagnosed
     /// once and every later encounter replays the identical [`ChunkError`].
-    pub fn lookup_or_compile(&self, src: &str) -> ChunkOutcome {
+    pub fn lookup_or_compile<'a>(&self, src: impl Into<Source<'a>>) -> ChunkOutcome {
         self.lookup_or_compile_counted(src).0
     }
 
     /// [`ScriptCache::lookup_or_compile`] plus what the probe observed.
-    pub fn lookup_or_compile_counted(&self, src: &str) -> (ChunkOutcome, CacheOutcome) {
-        let key = ScriptCache::content_hash(src);
-        let stripe = &self.chunk_stripes[(key as usize) & (STRIPES - 1)];
-        let mut map = match stripe.lock() {
-            Ok(m) => m,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(cached) = map.get(&key) {
-            let outcome = match cached {
+    pub fn lookup_or_compile_counted<'a>(
+        &self,
+        src: impl Into<Source<'a>>,
+    ) -> (ChunkOutcome, CacheOutcome) {
+        let src = src.into();
+        self.compile_keyed(ScriptCache::content_hash(src.text), src)
+    }
+
+    /// [`ScriptCache::lookup_or_compile_counted`] under a given key.
+    fn compile_keyed(&self, key: u64, src: Source<'_>) -> (ChunkOutcome, CacheOutcome) {
+        let mut map = lock(stripe(&self.chunk_stripes, key));
+        if let Some(cached) = find(&map, key, &src) {
+            let outcome = match cached.outcome {
                 Ok(_) => {
                     self.chunk_hits.fetch_add(1, Ordering::Relaxed);
                     CacheOutcome::Hit
@@ -236,7 +347,7 @@ impl ScriptCache {
                     CacheOutcome::NegativeHit
                 }
             };
-            return (cached.clone(), outcome);
+            return (cached.outcome.clone(), outcome);
         }
         // Compile under the chunk-stripe lock (same argument as parsing:
         // misses == unique sources, exactly one compile each). The AST map
@@ -244,61 +355,51 @@ impl ScriptCache {
         // tree-walk engine probing the same source — reuses the parse. Lock
         // order is chunk stripe → AST stripe only, and the AST-only path
         // never takes a chunk lock, so no cycle exists.
-        let result = match self.parse_for_chunk(src, key) {
+        let (source, parsed) = self.parse_for_chunk(key, src);
+        let result = match parsed {
             Ok(program) => match crate::compile::compile(&program) {
                 Ok(chunk) => Ok(Arc::new(chunk)),
                 Err(e) => Err(ChunkError::Compile(e)),
             },
             Err(e) => Err(ChunkError::Parse(e)),
         };
-        map.insert(key, result.clone());
+        map.entry(key).or_default().push(Entry {
+            source,
+            outcome: result.clone(),
+        });
         self.chunk_misses.fetch_add(1, Ordering::Relaxed);
         (result, CacheOutcome::Miss)
     }
 
     /// Probe-or-fill the AST family for the chunk path, without ticking the
     /// AST probe counters (the chunk counters already record this probe).
-    fn parse_for_chunk(&self, src: &str, key: u64) -> ParseOutcome {
-        let stripe = &self.stripes[(key as usize) & (STRIPES - 1)];
-        let mut map = match stripe.lock() {
-            Ok(m) => m,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(cached) = map.get(&key) {
-            return cached.clone();
+    /// Returns the AST entry's source too, so both families keep one
+    /// allocation.
+    fn parse_for_chunk(&self, key: u64, src: Source<'_>) -> (Arc<[u8]>, ParseOutcome) {
+        let mut map = lock(stripe(&self.stripes, key));
+        if let Some(cached) = find(&map, key, &src) {
+            return (Arc::clone(&cached.source), cached.outcome.clone());
         }
-        let result = parse(src).map(Arc::new);
-        map.insert(key, result.clone());
-        result
+        let source = src.to_shared();
+        let result = parse(src.text).map(Arc::new);
+        map.entry(key).or_default().push(Entry {
+            source: Arc::clone(&source),
+            outcome: result.clone(),
+        });
+        (source, result)
     }
 
     /// Current totals.
     pub fn stats(&self) -> CacheStats {
-        let unique: usize = self
-            .stripes
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(m) => m.len(),
-                Err(poisoned) => poisoned.into_inner().len(),
-            })
-            .sum();
-        let unique_chunks: usize = self
-            .chunk_stripes
-            .iter()
-            .map(|s| match s.lock() {
-                Ok(m) => m.len(),
-                Err(poisoned) => poisoned.into_inner().len(),
-            })
-            .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            unique_sources: unique as u64,
+            unique_sources: entries(&self.stripes),
             chunk_hits: self.chunk_hits.load(Ordering::Relaxed),
             chunk_misses: self.chunk_misses.load(Ordering::Relaxed),
             chunk_negative_hits: self.chunk_negative_hits.load(Ordering::Relaxed),
-            unique_chunks: unique_chunks as u64,
+            unique_chunks: entries(&self.chunk_stripes),
         }
     }
 }
@@ -333,6 +434,100 @@ mod tests {
         assert_eq!(cache.stats().negative_hits, 1);
     }
 
+    /// The global `x` after running `program` in a fresh interpreter.
+    fn x_after(run: impl FnOnce(&mut crate::Interpreter)) -> f64 {
+        let mut interp = crate::Interpreter::new();
+        run(&mut interp);
+        match interp.get_global("x") {
+            crate::Value::Num(n) => n,
+            other => panic!("x is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn colliding_keys_parse_and_run_each_source() {
+        let cache = ScriptCache::new();
+        let (a, b) = ("var x = 1;", "var x = 2;");
+        let (pa, oa) = cache.parse_keyed(7, a.into());
+        let (pb, ob) = cache.parse_keyed(7, b.into());
+        assert_eq!((oa, ob), (CacheOutcome::Miss, CacheOutcome::Miss));
+        let (pa, pb) = (pa.unwrap(), pb.unwrap());
+        assert_eq!(x_after(|i| drop(i.run(&pa).unwrap())), 1.0);
+        assert_eq!(x_after(|i| drop(i.run(&pb).unwrap())), 2.0);
+        // Later probes under the shared key find their own entries.
+        let (again, o) = cache.parse_keyed(7, b.into());
+        assert_eq!(o, CacheOutcome::Hit);
+        assert!(Arc::ptr_eq(&again.unwrap(), &pb));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.unique_sources), (1, 2, 2));
+    }
+
+    #[test]
+    fn colliding_keys_compile_and_run_each_source() {
+        let cache = ScriptCache::new();
+        let (a, b) = ("var x = 1;", "var x = 2;");
+        let (ca, oa) = cache.compile_keyed(7, a.into());
+        let (cb, ob) = cache.compile_keyed(7, b.into());
+        assert_eq!((oa, ob), (CacheOutcome::Miss, CacheOutcome::Miss));
+        let (ca, cb) = (ca.unwrap(), cb.unwrap());
+        assert_eq!(x_after(|i| drop(crate::run_chunk(i, &ca).unwrap())), 1.0);
+        assert_eq!(x_after(|i| drop(crate::run_chunk(i, &cb).unwrap())), 2.0);
+        let (again, o) = cache.compile_keyed(7, a.into());
+        assert_eq!(o, CacheOutcome::Hit);
+        assert!(Arc::ptr_eq(&again.unwrap(), &ca));
+        let s = cache.stats();
+        assert_eq!((s.chunk_hits, s.chunk_misses, s.unique_chunks), (1, 2, 2));
+        assert_eq!(s.unique_sources, 2, "each filled its own AST entry");
+    }
+
+    #[test]
+    fn hits_are_confirmed_by_allocation_or_bytes() {
+        let cache = ScriptCache::new();
+        let body: Arc<[u8]> = Arc::from(&b"var x = 3;"[..]);
+        let text = std::str::from_utf8(&body).unwrap();
+        let (_, o) = cache.lookup_or_parse_counted(Source::decoded(text, &body));
+        assert_eq!(o, CacheOutcome::Miss);
+        // The miss kept the body's allocation, not a copy.
+        let key = ScriptCache::content_hash(text);
+        let kept = Arc::clone(&lock(stripe(&cache.stripes, key))[&key][0].source);
+        assert!(Arc::ptr_eq(&kept, &body));
+        // Equal bytes in another allocation hit too.
+        let copy = String::from("var x = 3;");
+        assert_eq!(
+            cache.lookup_or_parse_counted(copy.as_str()).1,
+            CacheOutcome::Hit
+        );
+    }
+
+    #[test]
+    fn lossy_decoding_keeps_a_copy_of_the_text() {
+        let body: Arc<[u8]> = Arc::from("var x = 'é';".as_bytes());
+        let bad: Arc<[u8]> = Arc::from(&b"var x = '\xff';"[..]);
+        let text = std::str::from_utf8(&body).unwrap();
+        assert!(Source::decoded(text, &body).shared.is_some());
+        let lossy = String::from_utf8_lossy(&bad);
+        assert!(Source::decoded(&lossy, &bad).shared.is_none());
+    }
+
+    #[test]
+    fn content_hash_spreads_over_stripes() {
+        // Sources differing in one late byte still spread over every stripe.
+        let mut seen = [0u32; STRIPES];
+        for i in 0..1_024 {
+            let src = format!("{}var v = {i};", "/* pad */".repeat(40));
+            seen[(ScriptCache::content_hash(&src) as usize) & (STRIPES - 1)] += 1;
+        }
+        assert!(seen.iter().all(|&n| (32..=96).contains(&n)), "{seen:?}");
+        assert_ne!(
+            ScriptCache::content_hash("ab"),
+            ScriptCache::content_hash("ab\0")
+        );
+        assert_ne!(
+            ScriptCache::content_hash(""),
+            ScriptCache::content_hash("\0")
+        );
+    }
+
     #[test]
     fn distinct_sources_do_not_collide() {
         let cache = ScriptCache::new();
@@ -361,7 +556,7 @@ mod tests {
                 let srcs = srcs.clone();
                 scope.spawn(move || {
                     for s in &srcs {
-                        cache.lookup_or_parse(s).unwrap();
+                        cache.lookup_or_parse(s.as_str()).unwrap();
                     }
                 });
             }
@@ -451,7 +646,7 @@ mod tests {
                 let srcs = srcs.clone();
                 scope.spawn(move || {
                     for s in &srcs {
-                        cache.lookup_or_compile(s).unwrap();
+                        cache.lookup_or_compile(s.as_str()).unwrap();
                     }
                 });
             }

@@ -18,7 +18,7 @@
 //! - [`value`] — runtime values.
 //! - [`object`] — heap, objects, prototype chains, watchpoints.
 //! - [`interp`] — the tree-walk interpreter and host-function registry.
-//! - [`compile`] — AST → bytecode chunk lowering.
+//! - [`compile`](mod@compile) — AST → bytecode chunk lowering.
 //! - [`vm`] — the bytecode dispatch loop (the production engine).
 //! - [`budget`] — multi-axis execution resource budgets.
 //! - [`cache`] — survey-wide content-addressed compilation cache.
@@ -37,7 +37,7 @@ pub mod value;
 pub mod vm;
 
 pub use budget::ResourceBudget;
-pub use cache::{CacheOutcome, CacheStats, ChunkError, ChunkOutcome, ScriptCache};
+pub use cache::{CacheOutcome, CacheStats, ChunkError, ChunkOutcome, ScriptCache, Source};
 pub use compile::{compile, Chunk, CompileError, FuncChunk, LazyFunc};
 pub use interp::{Interpreter, NativeFn, RuntimeError, ScriptError};
 pub use object::{Heap, ObjId, PropKey};

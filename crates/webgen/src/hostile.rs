@@ -15,7 +15,7 @@
 //! the fault plan untouched.
 
 use crate::web::SyntheticWeb;
-use bfu_net::{HttpRequest, HttpResponse, SimNet};
+use bfu_net::{Body, HttpRequest, HttpResponse, SimNet};
 use bfu_util::Fnv64;
 use std::sync::Arc;
 
@@ -163,7 +163,7 @@ impl HostilePlan {
             let Some(class) = self.class_for(ix) else {
                 continue;
             };
-            let body = hostile_page(class);
+            let body = Body::from(hostile_page(class));
             net.register(
                 &plan.site.domain,
                 Arc::new(move |_req: &HttpRequest| HttpResponse::html(body.clone())),

@@ -14,7 +14,7 @@ use bfu_util::SimRng;
 use bfu_webidl::{FeatureId, FeatureRegistry};
 
 /// Who serves the script that invokes a feature.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Party {
     /// The site's own scripts.
     First,
