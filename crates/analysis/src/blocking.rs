@@ -14,7 +14,7 @@ pub struct Fig4Point {
     pub abbrev: &'static str,
     /// Sites using the standard by default.
     pub sites: u32,
-    /// Block rate in [0,1].
+    /// Block rate in `[0, 1]`.
     pub block_rate: f64,
 }
 

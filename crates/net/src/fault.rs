@@ -18,9 +18,9 @@
 //! sharded across threads. The same sampler drives the dataset store's
 //! fault-injecting backend, so storage and network fault schedules share
 //! one audited primitive. The fault context is reset by the crawler per
-//! `(site, profile, round)` via [`SimNet::set_fault_context`]
-//! (`crate::sim::SimNet::set_fault_context`), which also clears the per-host
-//! exchange counters.
+//! `(site, profile, round)` via
+//! [`SimNet::set_fault_context`](crate::sim::SimNet::set_fault_context),
+//! which also clears the per-host exchange counters.
 
 use bfu_util::fault_sample;
 use std::collections::{HashMap, HashSet};

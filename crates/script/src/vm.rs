@@ -1,10 +1,10 @@
 //! Bytecode dispatch loop for compiled [`Chunk`]s.
 //!
-//! Executes the instruction stream [`crate::compile`] produces against the
-//! *same* interpreter state the tree-walk uses: the same [`Heap`] (prototype
-//! chains, watchpoints, host tags), the same environment chain for captured
-//! scopes, the same native-function registry, and the same multi-axis
-//! resource accounting. The VM is a drop-in execution strategy, not a
+//! Executes the instruction stream [`crate::compile`](mod@crate::compile)
+//! produces against the *same* interpreter state the tree-walk uses: the
+//! same [`Heap`] (prototype chains, watchpoints, host tags), the same
+//! environment chain for captured scopes, the same native-function
+//! registry, and the same multi-axis resource accounting. The VM is a drop-in execution strategy, not a
 //! parallel runtime — a compiled closure and a tree-walk closure can call
 //! each other freely through [`Interpreter::call_value`], which is how host
 //! callbacks (timers, event dispatch, watch handlers) reach compiled code.

@@ -1,8 +1,9 @@
 //! Strongly typed index newtypes.
 //!
 //! Arena-style data structures throughout the workspace (DOM nodes, features,
-//! standards, sites, hosts, connections) index into vectors. [`define_id!`]
-//! generates a `u32` newtype per entity so indices can't be mixed up.
+//! standards, sites, hosts, connections) index into vectors.
+//! [`define_id!`](crate::define_id) generates a `u32` newtype per entity so
+//! indices can't be mixed up.
 
 /// Define a `u32`-backed index newtype with `new`, `index`, `Display`, and
 /// ordering.

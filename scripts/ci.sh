@@ -126,4 +126,9 @@ python3 perfbench/selftest.py
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+# Broken, ambiguous or private intra-doc links fail the gate, so the API
+# docs never silently lose a link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "CI OK"
