@@ -9,7 +9,6 @@
 use crate::url::Url;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -142,7 +141,7 @@ impl HttpRequest {
 
 /// A response body: shared, immutable bytes. Cloning one, or serving one
 /// to many fetches, copies a pointer, never the bytes.
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Body(Arc<[u8]>);
 
 impl Body {
@@ -155,7 +154,8 @@ impl Body {
     /// The body as text: borrowed when it is valid UTF-8, else decoded as
     /// [`String::from_utf8_lossy`] decodes it. The strict check comes first
     /// because it validates ASCII a word at a time, where the lossy decoder
-    /// walks every byte (~2 µs against ~36 µs for a 47 KB script).
+    /// walks every byte (~2 µs against ~36 µs for a 47 KB script on a
+    /// 2-vCPU VM).
     pub fn text(&self) -> Cow<'_, str> {
         match std::str::from_utf8(&self.0) {
             Ok(text) => Cow::Borrowed(text),
@@ -169,18 +169,6 @@ impl Deref for Body {
 
     fn deref(&self) -> &[u8] {
         &self.0
-    }
-}
-
-impl fmt::Debug for Body {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Body({} bytes)", self.0.len())
-    }
-}
-
-impl From<Arc<[u8]>> for Body {
-    fn from(bytes: Arc<[u8]>) -> Self {
-        Body(bytes)
     }
 }
 
