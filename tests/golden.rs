@@ -9,19 +9,26 @@
 //! budgets, and a web whose network resets, stalls, truncates and garbles
 //! exchanges — to values recorded from an earlier commit. A fifth pin hashes
 //! the parser's output on every script a small web serves, including the
-//! bundle code a crawl never runs and so no fingerprint sees. A change that
-//! moves a measurement must update the pins here, in its own diff, and say
-//! why.
+//! bundle code a crawl never runs and so no fingerprint sees. A sixth pins
+//! the fabric simulator: what each of its schedules crawled, stepped
+//! through, counted and asked of the store. A change that moves a
+//! measurement must update the pins here, in its own diff, and say why.
 
 use bfu_analysis::report::render_table2;
 use bfu_core::{Study, StudyConfig};
-use bfu_crawler::{BrowserConfig, BrowserProfile, CrawlError, Dataset, Survey};
+use bfu_crawler::{
+    BrowserConfig, BrowserProfile, CrawlConfig, CrawlError, Dataset, FabricTotals, Survey,
+};
+use bfu_fabric::{run_sim, run_sim_elected, FabricConfig, FabricFaultPlan};
 use bfu_net::{FaultKind, FaultPlan, HostFault};
+use bfu_objstore::{ObjFaultPlan, ObjectBackend, SimObjectStore};
 use bfu_script::parser;
+use bfu_store::{FaultFs, StorageBackend, StoreFaultPlan};
 use bfu_util::{fnv64, Fnv64};
 use bfu_webgen::script_gen::generate_script;
 use bfu_webgen::site::Party;
 use bfu_webgen::{HostileClass, HostilePlan, SiteId, SyntheticWeb, WebConfig};
+use std::sync::Arc;
 
 /// The study shape of the `paper-light` benchmark workload (all four
 /// profiles, 2 rounds of 3 pages) at `sites` sites.
@@ -221,5 +228,110 @@ fn script_front_end_is_pinned() {
         got.0,
         got.1,
         got.2
+    );
+}
+
+/// A fresh fault-free backend for one simulated fabric schedule — the
+/// object store behind the adapter, or the disk model — and a reader for
+/// the labels of the ops it served.
+type OpLabels = Box<dyn Fn() -> Vec<String>>;
+
+fn fabric_backend(objects: bool) -> (Arc<dyn StorageBackend>, OpLabels) {
+    if objects {
+        let store = Arc::new(SimObjectStore::new(ObjFaultPlan::none()));
+        let backend = Arc::new(ObjectBackend::new(store.clone()));
+        (backend, Box::new(move || store.op_trace()))
+    } else {
+        let fs = Arc::new(FaultFs::new(StoreFaultPlan::none()));
+        (fs.clone(), Box::new(move || fs.op_trace()))
+    }
+}
+
+#[test]
+fn fabric_simulator_is_pinned() {
+    // The `fabric_torture` fixture: 8 sites, seed 137, small leases and
+    // tiny shards.
+    let web = SyntheticWeb::generate(WebConfig {
+        sites: 8,
+        seed: 137,
+        script_weight: 0,
+    });
+    let mut crawl = CrawlConfig::quick(137 ^ 0xFAB);
+    crawl.threads = 1;
+    crawl.rounds_per_profile = 1;
+    crawl.pages_per_site = 2;
+    crawl.page_budget_ms = 2_000;
+    let survey = Survey::new(web, crawl);
+    let cfg = FabricConfig {
+        workers: 1,
+        sites_per_lease: 3,
+        lease_ms: 10_000,
+        site_ms: 1_000,
+        shard_capacity: 2,
+        scrub_threads: 2,
+    };
+    let healthy = FabricFaultPlan::default();
+    let (backend, _) = fabric_backend(false);
+    let trace = run_sim(&survey, backend, &cfg, &healthy)
+        .expect("healthy sim")
+        .trace;
+    // Kill at the first step of each label class (`worker:crawl`,
+    // `coord:issue`, ...) of the healthy trace.
+    let mut classes: Vec<String> = Vec::new();
+    let mut kills: Vec<Option<u64>> = Vec::new();
+    for (k, label) in trace.iter().enumerate() {
+        let class = label.split(':').take(2).collect::<Vec<_>>().join(":");
+        if !classes.contains(&class) {
+            classes.push(class);
+            kills.push(Some(k as u64));
+        }
+    }
+    assert_eq!(classes.len(), 7, "label classes: {classes:?}");
+    let mut digest = Fnv64::new();
+    let mut runs = 0;
+    // The final scrub reads shards on several threads, so the op labels
+    // are hashed sorted: the set is pinned, not the interleaving.
+    let mut record = |fingerprint: u64, steps: &str, stats: &FabricTotals, ops: OpLabels| {
+        let mut ops = ops();
+        ops.sort_unstable();
+        digest.write_str(&format!("{fingerprint:016x}|{steps}|{stats:?}|{ops:?}"));
+        runs += 1;
+    };
+    let mut plans = vec![
+        healthy,
+        FabricFaultPlan {
+            double_issue: true,
+            ..healthy
+        },
+    ];
+    plans.extend(
+        kills
+            .iter()
+            .map(|&kill_at| FabricFaultPlan { kill_at, ..healthy }),
+    );
+    for objects in [false, true] {
+        for plan in &plans {
+            let (backend, ops) = fabric_backend(objects);
+            let sim = run_sim(&survey, backend, &cfg, plan)
+                .unwrap_or_else(|e| panic!("{plan:?} (objects: {objects}): {e}"));
+            let fingerprint = sim.outcome.dataset.fingerprint();
+            record(fingerprint, &sim.trace.join(","), &sim.outcome.stats, ops);
+        }
+    }
+    // Under an elected term, with a standby taking over after each kill.
+    for kill_at in std::iter::once(None).chain(kills) {
+        let (backend, ops) = fabric_backend(true);
+        let sim = run_sim_elected(&survey, backend, &cfg, kill_at, 2_000)
+            .unwrap_or_else(|e| panic!("elected, kill at {kill_at:?}: {e}"));
+        let fingerprint = sim.outcome.dataset.fingerprint();
+        record(fingerprint, &sim.steps.to_string(), &sim.outcome.stats, ops);
+    }
+    let got = (runs, digest.finish());
+    assert_eq!(
+        got,
+        (26, 0x810d_df83_c5d2_bb76),
+        "fabric simulator: (runs, digest) = ({}, {:#018x})",
+        got.0,
+        got.1
     );
 }
