@@ -21,6 +21,8 @@
 //! listing must not change any dataset, because every `list()` consumer
 //! sorts before folding.
 
+mod common;
+
 use bfu_crawler::{CrawlConfig, Survey};
 use bfu_objstore::{DirObjectStore, ObjFaultPlan, ObjectBackend, SimObjectStore};
 use bfu_store::{
@@ -29,6 +31,7 @@ use bfu_store::{
 };
 use bfu_util::fnv64;
 use bfu_webgen::{SyntheticWeb, WebConfig};
+use common::sweep_points;
 use std::io;
 use std::sync::{Arc, OnceLock};
 
@@ -81,19 +84,6 @@ fn resume_on(store: &Arc<SimObjectStore>, survey: &Survey) -> Result<ResumeOutco
     resume_survey_on(survey, backend)
 }
 
-fn crash_points(total: u64) -> Vec<u64> {
-    const BUDGET: u64 = 48;
-    if std::env::var_os("BFU_TORTURE_FULL").is_some() || total <= BUDGET {
-        return (0..total).collect();
-    }
-    let stride = total.div_ceil(BUDGET) as usize;
-    let mut points: Vec<u64> = (0..total).step_by(stride).collect();
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
-}
-
 fn assert_is_crash(err: &StoreError, k: u64, label: &str) {
     match err {
         StoreError::Io(e) => assert!(
@@ -131,7 +121,7 @@ fn every_crash_point_in_an_object_store_run_recovers() {
         total > 10,
         "workload too small to be interesting: {total} ops"
     );
-    for k in crash_points(total) {
+    for k in sweep_points(total, 48) {
         let label = &f.trace[k as usize];
         let store = Arc::new(SimObjectStore::new(ObjFaultPlan::none().with_crash_at(k)));
         let err = resume_on(&store, &f.survey)
@@ -391,23 +381,6 @@ fn healthy_replica_op_counts() -> &'static Vec<u64> {
     })
 }
 
-/// Stride-bounded subset of `0..total` (`budget` points in CI, exhaustive
-/// under `BFU_TORTURE_FULL=1`), always including the last op.
-fn bounded_points(total: u64, budget: u64) -> Vec<u64> {
-    if total == 0 {
-        return Vec::new();
-    }
-    if std::env::var_os("BFU_TORTURE_FULL").is_some() || total <= budget {
-        return (0..total).collect();
-    }
-    let stride = total.div_ceil(budget) as usize;
-    let mut points: Vec<u64> = (0..total).step_by(stride).collect();
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
-}
-
 /// Kill any one replica at any of its ops: the survey must complete with
 /// *no error surfacing at all* — W = R = 2 of 3 absorbs a single death —
 /// and fingerprint identically to the direct run.
@@ -417,7 +390,7 @@ fn survey_survives_killing_any_one_replica_at_any_of_its_ops() {
     let counts = healthy_replica_op_counts();
     for (r, &total) in counts.iter().enumerate() {
         assert!(total > 10, "replica {r} saw only {total} ops");
-        for k in bounded_points(total, 12) {
+        for k in sweep_points(total, 12) {
             let mut plans = [
                 ObjFaultPlan::none(),
                 ObjFaultPlan::none(),

@@ -10,9 +10,11 @@
 //! point.
 //!
 //! By default the sweep is bounded (a deterministic stride subset, CI-fast);
-//! set `BFU_TORTURE_FULL=1` for the exhaustive every-single-op sweep. The
-//! `store_torture` binary in `bfu-bench` runs the same sweep standalone with
-//! progress output.
+//! set `BFU_TORTURE_FULL=1` for the exhaustive every-single-op sweep (any
+//! other value keeps it bounded). `scripts/ci.sh` passes the variable on to
+//! its workspace test step.
+
+mod common;
 
 use bfu_crawler::{CrawlConfig, Provenance, Survey};
 use bfu_store::{
@@ -20,6 +22,7 @@ use bfu_store::{
     ResumeOutcome, StorageBackend, StoreError, StoreFaultPlan, StoreMeta,
 };
 use bfu_webgen::{SyntheticWeb, WebConfig};
+use common::sweep_points;
 use std::sync::{Arc, OnceLock};
 
 const SITES: usize = 6;
@@ -76,20 +79,8 @@ fn resume_on(fs: &Arc<FaultFs>, survey: &Survey) -> Result<ResumeOutcome, StoreE
     resume_survey_on(survey, backend)
 }
 
-/// The crash points to sweep: every op under `BFU_TORTURE_FULL=1` (or when
-/// the workload is small), a deterministic stride subset otherwise.
-fn crash_points(total: u64) -> Vec<u64> {
-    const BUDGET: u64 = 48;
-    if std::env::var_os("BFU_TORTURE_FULL").is_some() || total <= BUDGET {
-        return (0..total).collect();
-    }
-    let stride = total.div_ceil(BUDGET) as usize;
-    let mut points: Vec<u64> = (0..total).step_by(stride).collect();
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
-}
+/// Crash points per sweep in the bounded run.
+const BUDGET: u64 = 48;
 
 /// Assert `err` is the simulated power cut (possibly wrapped in
 /// [`StoreError::Io`]), not some other failure leaking out of the crash.
@@ -115,7 +106,7 @@ fn every_crash_point_in_a_fresh_run_recovers() {
         total > 40,
         "workload too small to be interesting: {total} ops"
     );
-    for k in crash_points(total) {
+    for k in sweep_points(total, BUDGET) {
         let label = &f.trace[k as usize];
         let plan = StoreFaultPlan::none()
             .with_seed(0xC4A5 ^ k)
@@ -186,7 +177,7 @@ fn every_crash_point_during_scrub_and_heal_recovers() {
     assert!(outcome.scrub.shards_compacted >= 2, "{:?}", outcome.scrub);
     let trace = fs.op_trace();
     let total = fs.ops();
-    for k in crash_points(total - setup_ops) {
+    for k in sweep_points(total - setup_ops, BUDGET) {
         let k = setup_ops + k;
         let label = &trace[k as usize];
         let plan = StoreFaultPlan::none()
