@@ -9,8 +9,8 @@
 # bfu-browser, bfu-store, bfu-objstore, and bfu-fabric (a panic in any of
 # them takes a whole survey — or its only on-disk copy — down).
 #
-# Set BFU_TORTURE_FULL=1 for the exhaustive crash-point sweep (every backend
-# op, both in-test and via the standalone store_torture binary) instead of
+# Set BFU_TORTURE_FULL=1 to make the workspace test step sweep every point
+# (every backend op, fabric step, wire exchange and replica op) instead of
 # the bounded default.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,8 +28,8 @@ echo "==> cargo test -q (workspace)"
 # - store: the dataset store round trip.
 # - chaos: the adversarial chaos suite (hostile web, 1 vs 8 threads).
 # - store_torture: store crash consistency. The suite bounds its sweep to a
-#   fixed budget of crash points unless BFU_TORTURE_FULL is set, in which
-#   case it kills the store at every single backend op.
+#   fixed budget of crash points unless BFU_TORTURE_FULL=1, in which case it
+#   kills the store at every single backend op.
 # - fabric_torture: kill the survey fabric at every worker/coordinator step
 #   AND partition the whole-object backend at every op (delayed visibility,
 #   stale reads/lists, lost replays under chaos), AND run the whole fabric
@@ -64,16 +64,6 @@ echo "==> cargo test -q (workspace)"
 #   identically engine to engine. The chaos suite extends the same gate to
 #   a 200-site hostile web.
 cargo test --workspace -q
-
-if [[ "${BFU_TORTURE_FULL:-0}" == "1" ]]; then
-    echo "==> store and fabric torture (exhaustive, release)"
-    # The standalone binaries re-prove the exhaustive store crash sweep and
-    # the fabric's kill, partition, and kill x partition sweeps end to end.
-    TORTURE_OUT=$(mktemp)
-    cargo run -q --release -p bfu-bench --bin store_torture -- --out "$TORTURE_OUT"
-    cargo run -q --release -p bfu-bench --bin fabric_torture -- --out "$TORTURE_OUT"
-    rm -f "$TORTURE_OUT"
-fi
 
 echo "==> crawl_bench smoke (engine x cache grid fingerprints + live caches)"
 # Small scale: correctness gate, not a performance measurement. crawl_bench
