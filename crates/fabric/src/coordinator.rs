@@ -121,13 +121,15 @@ fn coord_step(probe: &dyn Probe, label: &str) -> Result<(), FabricError> {
 /// store. Single-threaded by construction — the multi-worker driver in
 /// [`crate::run`] serializes access through a mutex, which is the point:
 /// the merge point is *the* coordination point, so its checks need no
-/// further locking.
+/// further locking. The same goes for its counters: every issue, reclaim,
+/// merge and election is counted where it happens.
 #[derive(Debug)]
 pub struct Coordinator {
     backend: Arc<dyn StorageBackend>,
     store: DatasetStore,
     table: LeaseTable,
     lease_ms: u64,
+    stats: FabricTotals,
     /// Election fence, when this coordinator holds an elected term. Every
     /// durable table write refreshes it first; a deposed coordinator's
     /// refresh loses its CAS and the write never happens.
@@ -173,6 +175,10 @@ impl Coordinator {
             store,
             table,
             lease_ms,
+            stats: FabricTotals {
+                enabled: true,
+                ..FabricTotals::default()
+            },
             fence: None,
         })
     }
@@ -193,12 +199,8 @@ impl Coordinator {
         coord.table.coord_term = handle.term();
         coord.fence = Some(handle);
         coord.persist_table()?;
+        coord.stats.elections_won += 1;
         Ok(coord)
-    }
-
-    /// The election handle, when this coordinator holds an elected term.
-    pub fn election(&self) -> Option<&ElectionHandle> {
-        self.fence.as_ref()
     }
 
     /// Advance this coordinator's heartbeat to `now` (no-op without an
@@ -232,6 +234,13 @@ impl Coordinator {
     /// The canonical store.
     pub fn store(&self) -> &DatasetStore {
         &self.store
+    }
+
+    /// The fabric counters. The coordinator counts its own issues,
+    /// reclaims, merges and election; a driver fills in what only it
+    /// sees (`workers`, `workers_died`, `coordinators_deposed`).
+    pub fn stats_mut(&mut self) -> &mut FabricTotals {
+        &mut self.stats
     }
 
     /// Whether every lease has completed.
@@ -280,6 +289,8 @@ impl Coordinator {
             }
         }
         self.persist_table()?;
+        self.stats.leases_expired += expired.len() as u64;
+        self.stats.leases_reclaimed += expired.len() as u64;
         Ok(expired.len())
     }
 
@@ -330,6 +341,7 @@ impl Coordinator {
             }
         };
         self.persist_table()?;
+        self.stats.leases_issued += 1;
         Ok(Some(grant))
     }
 
@@ -366,6 +378,7 @@ impl Coordinator {
             }
         }
         self.persist_table()?;
+        self.stats.leases_reclaimed += held.len() as u64;
         Ok(held.len())
     }
 
@@ -393,6 +406,7 @@ impl Coordinator {
             .is_some_and(|l| l.state == LeaseState::Issued && l.epoch == publish.epoch);
         if !live {
             self.discard_staging(&publish.shards);
+            self.stats.publishes_fenced += 1;
             return Ok(MergeOutcome::Fenced);
         }
         let (start, end) = {
@@ -438,6 +452,8 @@ impl Coordinator {
         self.persist_table()?;
         coord_step(probe, &format!("coord:merge-clean:l{}", publish.lease))?;
         self.discard_staging(&publish.shards);
+        self.stats.leases_completed += 1;
+        self.stats.records_absorbed += records as u64;
         Ok(MergeOutcome::Accepted { records })
     }
 
@@ -454,14 +470,9 @@ impl Coordinator {
     /// re-crawling exactly like [`bfu_store::resume_survey_on`].
     ///
     /// The returned dataset is fingerprint-identical to a single-process
-    /// run of the same survey; `stats` lands in
+    /// run of the same survey; the counters land in
     /// [`CrawlHealth::fabric`] and the provenance sidecar.
-    pub fn finish(
-        self,
-        survey: &Survey,
-        stats: FabricTotals,
-        scrub_threads: usize,
-    ) -> Result<FabricOutcome, FabricError> {
+    pub fn finish(self, survey: &Survey) -> Result<FabricOutcome, FabricError> {
         // Sweep every staging object, including debris from dead workers
         // whose publish never arrived. Listings come back in unspecified
         // (possibly backend-shuffled) order — sort before folding so the
@@ -478,7 +489,7 @@ impl Coordinator {
         if swept {
             retry_interrupted(|| self.backend.sync_dir())?;
         }
-        let scrub = self.store.scrub_with_threads(scrub_threads)?;
+        let scrub = self.store.scrub()?;
         let scan = self.store.scan()?;
         let dataset = if scan.recovered == scan.sites.len() {
             Dataset {
@@ -503,6 +514,10 @@ impl Coordinator {
                 return Err(FabricError::Store(StoreError::Io(e)));
             }
             dataset
+        };
+        let stats = FabricTotals {
+            leases_total: self.table.leases.len() as u64,
+            ..self.stats
         };
         let mut provenance = Provenance::of(survey, &dataset);
         provenance.health.fabric = stats;

@@ -52,8 +52,6 @@ pub use proc::{
     ProcConfig, WorkerExit, DONE_NAME, PUBLISH_PREFIX,
 };
 pub use run::{run_survey_fabric, FabricConfig};
-pub use sim::{
-    run_sim, run_sim_elected, ElectedSimOutcome, FabricFaultPlan, SimOutcome, StepProbe,
-};
+pub use sim::{run_sim, FabricFaultPlan, SimOutcome, StepProbe};
 pub use worker::WorkerPublish;
 pub use worker::{run_worker, stage_name, LeaseGrant, NoProbe, Probe, StepOutcome, WorkerRun};

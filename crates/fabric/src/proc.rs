@@ -25,12 +25,11 @@
 //! virtual [`Instant`] currency is just relabeled), so `lease_ms` must
 //! comfortably exceed a real lease's crawl time.
 
-use crate::coordinator::{Coordinator, FabricError, FabricOutcome, MergeOutcome};
+use crate::coordinator::{Coordinator, FabricError, FabricOutcome};
 use crate::election::{election_supported, try_elect};
 use crate::worker::{run_worker, LeaseGrant, NoProbe, WorkerPublish, WorkerRun};
 use crate::{LeaseState, LeaseTable};
-use bfu_crawler::{retry_interrupted, FabricTotals, Survey};
-use bfu_store::scrub::default_scrub_threads;
+use bfu_crawler::{retry_interrupted, Survey};
 use bfu_store::{StorageBackend, StoreMeta, DEFAULT_SHARD_CAPACITY};
 use bfu_util::Instant;
 use std::io;
@@ -61,8 +60,6 @@ pub struct ProcConfig {
     pub poll_ms: u64,
     /// Records per staging/canonical shard before rollover.
     pub shard_capacity: u32,
-    /// Threads for the final scrub pass.
-    pub scrub_threads: usize,
     /// Coordinator heartbeat window in wall-clock milliseconds. Only
     /// meaningful on backends with native conditional puts, where the
     /// coordinator runs under an elected, CAS-fenced term; a standby
@@ -78,7 +75,6 @@ impl Default for ProcConfig {
             lease_ms: 600_000,
             poll_ms: 10,
             shard_capacity: DEFAULT_SHARD_CAPACITY,
-            scrub_threads: default_scrub_threads(),
             heartbeat_ms: 60_000,
         }
     }
@@ -295,13 +291,7 @@ pub fn run_fabric_coordinator(
             cfg.lease_ms,
         )?,
     };
-    let mut stats = FabricTotals {
-        enabled: true,
-        workers: cfg.workers.max(1) as u64,
-        ..FabricTotals::default()
-    };
-    stats.leases_total = coord.table().leases.len() as u64;
-    stats.elections_won = u64::from(coord.election().is_some());
+    coord.stats_mut().workers = u64::from(cfg.workers.max(1));
     let mut next_worker = 0u32;
     while !coord.all_completed() {
         let now = Instant(started.elapsed().as_millis() as u64);
@@ -326,13 +316,7 @@ pub fn run_fabric_coordinator(
                 Err(e) => return Err(FabricError::from(e)),
             };
             if let Some(publish) = parse_publish(&bytes) {
-                match coord.merge_publish(&publish, &NoProbe)? {
-                    MergeOutcome::Accepted { records } => {
-                        stats.leases_completed += 1;
-                        stats.records_absorbed += records as u64;
-                    }
-                    MergeOutcome::Fenced => stats.publishes_fenced += 1,
-                }
+                coord.merge_publish(&publish, &NoProbe)?;
             }
             let _ = retry_interrupted(|| backend.remove(name));
         }
@@ -340,16 +324,13 @@ pub fn run_fabric_coordinator(
         // 2. Reclaim: wall-clock expiry first (covers hung-but-alive
         //    workers), then force-reclaim dead owners — their unmerged
         //    work is gone, waiting out the deadline buys nothing.
-        let expired = coord.reclaim_expired(now, &NoProbe)?;
-        stats.leases_expired += expired as u64;
-        stats.leases_reclaimed += expired as u64;
+        coord.reclaim_expired(now, &NoProbe)?;
         let mut alive: Vec<u32> = Vec::new();
         for id in 1..=cfg.workers.max(1) {
             if worker_alive(id) {
                 alive.push(id);
             } else {
-                let reclaimed = coord.reclaim_owner(id, &NoProbe)?;
-                stats.leases_reclaimed += reclaimed as u64;
+                coord.reclaim_owner(id, &NoProbe)?;
             }
         }
 
@@ -357,7 +338,6 @@ pub fn run_fabric_coordinator(
         //    or crawl inline when nobody is left to route to.
         if alive.is_empty() {
             while let Some(grant) = coord.claim_for(now, 0, &NoProbe)? {
-                stats.leases_issued += 1;
                 let run = run_worker(
                     survey,
                     backend.as_ref(),
@@ -368,27 +348,18 @@ pub fn run_fabric_coordinator(
                 let WorkerRun::Published(publish) = run else {
                     return Err(FabricError::Fabric("worker died under NoProbe".into()));
                 };
-                match coord.merge_publish(&publish, &NoProbe)? {
-                    MergeOutcome::Accepted { records } => {
-                        stats.leases_completed += 1;
-                        stats.records_absorbed += records as u64;
-                    }
-                    MergeOutcome::Fenced => stats.publishes_fenced += 1,
-                }
+                coord.merge_publish(&publish, &NoProbe)?;
             }
             continue;
         }
         let mut assigned = false;
         loop {
             let owner = alive[(next_worker as usize) % alive.len()];
-            match coord.claim_for(now, owner, &NoProbe)? {
-                Some(_) => {
-                    stats.leases_issued += 1;
-                    next_worker = next_worker.wrapping_add(1);
-                    assigned = true;
-                }
-                None => break,
+            if coord.claim_for(now, owner, &NoProbe)?.is_none() {
+                break;
             }
+            next_worker = next_worker.wrapping_add(1);
+            assigned = true;
         }
         if !assigned && publishes.is_empty() {
             std::thread::sleep(Duration::from_millis(cfg.poll_ms.max(1)));
@@ -406,7 +377,7 @@ pub fn run_fabric_coordinator(
     for name in &leftovers {
         let _ = retry_interrupted(|| backend.remove(name));
     }
-    let outcome = coord.finish(survey, stats, cfg.scrub_threads.max(1))?;
+    let outcome = coord.finish(survey)?;
     // The done marker releases polling workers. Best-effort: if this
     // write dies the workers exit via their poll cap instead.
     let fp = format!("{:016x}", outcome.dataset.fingerprint());

@@ -8,21 +8,23 @@
 //! bookkeeping.
 //!
 //! Time is a shared virtual clock advanced by crawl work (each finished
-//! lease advances it by `sites × site_ms`), the same currency the torture
+//! lease advances it by `sites ×` [`SITE_MS`]), the same currency the torture
 //! driver uses — so lease expiry behaves identically under test and in
 //! production. The default [`FabricConfig::lease_ms`] is deliberately
 //! generous: in-process workers don't die on their own, so expiry exists
 //! for crash recovery (a *restarted* fabric reclaiming a dead run's
 //! leases), not for pacing live workers.
 
-use crate::coordinator::{Coordinator, FabricError, FabricOutcome, MergeOutcome};
+use crate::coordinator::{Coordinator, FabricError, FabricOutcome};
 use crate::worker::{run_worker, NoProbe, WorkerRun};
-use bfu_crawler::{FabricTotals, Survey};
-use bfu_store::scrub::default_scrub_threads;
+use bfu_crawler::Survey;
 use bfu_store::{StorageBackend, StoreMeta, DEFAULT_SHARD_CAPACITY};
 use bfu_util::Instant;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Virtual milliseconds one site's crawl advances the fabric clock.
+pub const SITE_MS: u64 = 1_000;
 
 /// Shape of a fabric run.
 #[derive(Debug, Clone)]
@@ -32,15 +34,11 @@ pub struct FabricConfig {
     /// Sites per lease (the work-unit granularity).
     pub sites_per_lease: usize,
     /// Lease lifetime in virtual milliseconds. Must dwarf
-    /// `sites_per_lease × site_ms × workers`, or live workers' leases
+    /// `sites_per_lease ×` [`SITE_MS`] `× workers`, or live workers' leases
     /// expire under them while other workers advance the clock.
     pub lease_ms: u64,
-    /// Virtual milliseconds one site's crawl advances the clock.
-    pub site_ms: u64,
     /// Records per staging/canonical shard before rollover.
     pub shard_capacity: u32,
-    /// Threads for the final scrub pass.
-    pub scrub_threads: usize,
 }
 
 impl Default for FabricConfig {
@@ -49,9 +47,7 @@ impl Default for FabricConfig {
             workers: 4,
             sites_per_lease: 25,
             lease_ms: 1_000_000,
-            site_ms: 1_000,
             shard_capacity: DEFAULT_SHARD_CAPACITY,
-            scrub_threads: default_scrub_threads(),
         }
     }
 }
@@ -70,18 +66,15 @@ pub fn run_survey_fabric(
 ) -> Result<FabricOutcome, FabricError> {
     let mut meta = StoreMeta::for_survey(survey);
     meta.shard_capacity = cfg.shard_capacity.max(1);
-    let coordinator = Mutex::new(Coordinator::open(
+    let mut coordinator = Coordinator::open(
         Arc::clone(&backend),
         survey,
         meta,
         cfg.sites_per_lease,
         cfg.lease_ms,
-    )?);
-    let stats = Mutex::new(FabricTotals {
-        enabled: true,
-        workers: cfg.workers.max(1) as u64,
-        ..FabricTotals::default()
-    });
+    )?;
+    coordinator.stats_mut().workers = cfg.workers.max(1) as u64;
+    let coordinator = Mutex::new(coordinator);
     let clock = AtomicU64::new(0);
     let in_flight = AtomicU64::new(0);
     let failure: Mutex<Option<FabricError>> = Mutex::new(None);
@@ -92,7 +85,6 @@ pub fn run_survey_fabric(
                     survey,
                     backend.as_ref(),
                     &coordinator,
-                    &stats,
                     &clock,
                     &in_flight,
                     &failure,
@@ -109,17 +101,13 @@ pub fn run_survey_fabric(
         return Err(e);
     }
     let coordinator = coordinator.into_inner().unwrap_or_else(|p| p.into_inner());
-    let mut stats = stats.into_inner().unwrap_or_else(|p| p.into_inner());
-    stats.leases_total = coordinator.table().leases.len() as u64;
-    coordinator.finish(survey, stats, cfg.scrub_threads.max(1))
+    coordinator.finish(survey)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     survey: &Survey,
     backend: &dyn StorageBackend,
     coordinator: &Mutex<Coordinator>,
-    stats: &Mutex<FabricTotals>,
     clock: &AtomicU64,
     in_flight: &AtomicU64,
     failure: &Mutex<Option<FabricError>>,
@@ -132,13 +120,7 @@ fn worker_loop(
         let now = Instant(clock.load(Ordering::SeqCst));
         let (grant, next_deadline) = {
             let mut coord = coordinator.lock().unwrap_or_else(|p| p.into_inner());
-            let reclaimed = coord.reclaim_expired(now, &NoProbe)?;
-            if reclaimed > 0 {
-                if let Ok(mut s) = stats.lock() {
-                    s.leases_expired += reclaimed as u64;
-                    s.leases_reclaimed += reclaimed as u64;
-                }
-            }
+            coord.reclaim_expired(now, &NoProbe)?;
             if coord.all_completed() {
                 return Ok(());
             }
@@ -165,12 +147,9 @@ fn worker_loop(
             std::thread::sleep(std::time::Duration::from_millis(1));
             continue;
         };
-        if let Ok(mut s) = stats.lock() {
-            s.leases_issued += 1;
-        }
         let run = run_worker(survey, backend, grant, cfg.shard_capacity.max(1), &NoProbe);
         clock.fetch_add(
-            (grant.end.saturating_sub(grant.start) as u64) * cfg.site_ms,
+            (grant.end.saturating_sub(grant.start) as u64) * SITE_MS,
             Ordering::SeqCst,
         );
         let run = match run {
@@ -185,20 +164,9 @@ fn worker_loop(
             in_flight.fetch_sub(1, Ordering::SeqCst);
             return Err(FabricError::Fabric("worker died under NoProbe".into()));
         };
-        let outcome = {
-            let mut coord = coordinator.lock().unwrap_or_else(|p| p.into_inner());
-            let outcome = coord.merge_publish(&publish, &NoProbe);
-            in_flight.fetch_sub(1, Ordering::SeqCst);
-            outcome?
-        };
-        if let Ok(mut s) = stats.lock() {
-            match outcome {
-                MergeOutcome::Accepted { records } => {
-                    s.leases_completed += 1;
-                    s.records_absorbed += records as u64;
-                }
-                MergeOutcome::Fenced => s.publishes_fenced += 1,
-            }
-        }
+        let mut coord = coordinator.lock().unwrap_or_else(|p| p.into_inner());
+        let merged = coord.merge_publish(&publish, &NoProbe);
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        merged?;
     }
 }

@@ -12,7 +12,9 @@
 //! - a **coordinator** step dying models a coordinator crash between
 //!   lease-table writes: the simulator reopens a fresh [`Coordinator`]
 //!   from durable state (exactly what a restarted process would do) and
-//!   carries on;
+//!   carries on — or, when the plan runs the coordinator under an elected
+//!   term, a standby wins the next term and finishes, and the dead
+//!   incumbent's last write must come back [`FabricError::Deposed`];
 //! - a kill at the *publish* step produces a zombie publish — complete,
 //!   undelivered. The simulator stashes every zombie and replays them all
 //!   after the table has drained, asserting each one is **fenced**: by
@@ -24,9 +26,9 @@
 
 use crate::coordinator::{Coordinator, FabricError, FabricOutcome, MergeOutcome};
 use crate::election::{try_elect, ElectionHandle};
-use crate::run::FabricConfig;
+use crate::run::{FabricConfig, SITE_MS};
 use crate::worker::{run_worker, NoProbe, Probe, StepOutcome, WorkerPublish, WorkerRun};
-use bfu_crawler::{FabricTotals, Survey};
+use bfu_crawler::Survey;
 use bfu_store::{StorageBackend, StoreMeta};
 use bfu_util::VirtualClock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,6 +43,11 @@ pub struct FabricFaultPlan {
     /// Issue every lease to *two* sequential workers before merging —
     /// the double-issue schedule. The second publish must fence.
     pub double_issue: bool,
+    /// Run the coordinator under an elected term with this heartbeat
+    /// window in virtual milliseconds; `None` runs it without one. A term
+    /// needs a backend with native conditional puts (see
+    /// [`crate::election::election_supported`]).
+    pub heartbeat_ms: Option<u64>,
 }
 
 /// The counting, killing probe behind the simulator. Also records the
@@ -98,184 +105,16 @@ pub struct SimOutcome {
     pub trace: Vec<String>,
     /// Workers killed mid-lease.
     pub worker_deaths: u64,
-    /// Coordinator crashes (kills at `coord:` steps) recovered from.
+    /// Coordinator kills (at `coord:` steps) recovered from, by a restart
+    /// or, under a term, by a standby's takeover.
     pub coordinator_crashes: u64,
-    /// Stashed zombie publishes replayed at the end — every one fenced.
-    pub fenced_replays: u64,
-}
-
-/// Run one simulated fabric schedule to completion.
-///
-/// Deterministic: same survey, config, and plan → same trace, same
-/// dataset, same fingerprint. Time is a [`VirtualClock`] advanced by
-/// crawl work (`sites × site_ms` per attempt) and fast-forwarded to the
-/// next lease deadline when every remaining lease is orphaned.
-pub fn run_sim(
-    survey: &Survey,
-    backend: Arc<dyn StorageBackend>,
-    cfg: &FabricConfig,
-    plan: &FabricFaultPlan,
-) -> Result<SimOutcome, FabricError> {
-    let mut meta = StoreMeta::for_survey(survey);
-    meta.shard_capacity = cfg.shard_capacity.max(1);
-    let open = || {
-        Coordinator::open(
-            Arc::clone(&backend),
-            survey,
-            meta.clone(),
-            cfg.sites_per_lease,
-            cfg.lease_ms,
-        )
-    };
-    let probe = StepProbe::new(plan.kill_at);
-    let mut clock = VirtualClock::new();
-    let mut coordinator = open()?;
-    let mut stats = FabricTotals {
-        enabled: true,
-        workers: 1,
-        ..FabricTotals::default()
-    };
-    let mut worker_deaths = 0u64;
-    let mut coordinator_crashes = 0u64;
-    let mut zombies: Vec<WorkerPublish> = Vec::new();
-    let mut guard = 0u32;
-    loop {
-        guard += 1;
-        if guard > 100_000 {
-            return Err(FabricError::Fabric(
-                "simulated fabric failed to converge".into(),
-            ));
-        }
-        // Coordinator crash model: the kill surfaces as CoordinatorKilled;
-        // the simulator "restarts the process" by reopening from durable
-        // state. In-memory table changes that were never written are lost,
-        // exactly like a real crash.
-        match coordinator.reclaim_expired(clock.now(), &probe) {
-            Ok(n) => {
-                stats.leases_expired += n as u64;
-                stats.leases_reclaimed += n as u64;
-            }
-            Err(FabricError::CoordinatorKilled(_)) => {
-                coordinator_crashes += 1;
-                coordinator = open()?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        if coordinator.all_completed() {
-            break;
-        }
-        let grant = match coordinator.claim(clock.now(), &probe) {
-            Ok(g) => g,
-            Err(FabricError::CoordinatorKilled(_)) => {
-                coordinator_crashes += 1;
-                coordinator = open()?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let Some(grant) = grant else {
-            // Everything outstanding is issued to dead workers (the
-            // simulator runs them to completion synchronously, so a live
-            // holder can't exist here). Fast-forward to the next deadline.
-            let Some(deadline) = coordinator.next_deadline() else {
-                return Err(FabricError::Fabric(
-                    "no pending leases, no deadlines, not complete".into(),
-                ));
-            };
-            clock.advance_to(deadline);
-            continue;
-        };
-        stats.leases_issued += 1;
-        let attempts = if plan.double_issue { 2 } else { 1 };
-        for _ in 0..attempts {
-            let run = run_worker(
-                survey,
-                backend.as_ref(),
-                grant,
-                cfg.shard_capacity.max(1),
-                &probe,
-            )?;
-            clock.advance((grant.end.saturating_sub(grant.start) as u64) * cfg.site_ms);
-            let publish = match run {
-                WorkerRun::Published(p) => p,
-                WorkerRun::Died(orphan) => {
-                    worker_deaths += 1;
-                    stats.workers_died += 1;
-                    // A kill at the publish step leaves a zombie message;
-                    // replay it at the end to prove the fence holds.
-                    zombies.extend(orphan);
-                    continue;
-                }
-            };
-            match coordinator.merge_publish(&publish, &probe) {
-                Ok(MergeOutcome::Accepted { records }) => {
-                    stats.leases_completed += 1;
-                    stats.records_absorbed += records as u64;
-                }
-                Ok(MergeOutcome::Fenced) => stats.publishes_fenced += 1,
-                Err(FabricError::CoordinatorKilled(_)) => {
-                    // Crashed mid-merge: the publish itself is now stale
-                    // from the restarted coordinator's point of view (its
-                    // lease either completed durably or will reissue under
-                    // a new epoch). Keep it around as a zombie replay.
-                    coordinator_crashes += 1;
-                    zombies.push(publish);
-                    coordinator = open()?;
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    // The table has drained. Replay every zombie publish: each one's lease
-    // is Completed (or Issued under a bumped epoch it doesn't carry), so
-    // the merge point MUST fence it — acceptance here would be the
-    // double-count the fabric exists to prevent.
-    let mut fenced_replays = 0u64;
-    for publish in &zombies {
-        match coordinator.merge_publish(publish, &NoProbe)? {
-            MergeOutcome::Fenced => {
-                fenced_replays += 1;
-                stats.publishes_fenced += 1;
-            }
-            MergeOutcome::Accepted { .. } => {
-                return Err(FabricError::Fabric(format!(
-                    "stale publish for lease {} epoch {} was accepted after drain",
-                    publish.lease, publish.epoch
-                )));
-            }
-        }
-    }
-    stats.leases_total = coordinator.table().leases.len() as u64;
-    let steps = probe.steps();
-    let trace = probe.trace();
-    let outcome = coordinator.finish(survey, stats, cfg.scrub_threads.max(1))?;
-    Ok(SimOutcome {
-        outcome,
-        steps,
-        trace,
-        worker_deaths,
-        coordinator_crashes,
-        fenced_replays,
-    })
-}
-
-/// What one elected-coordinator schedule did, and how it ended.
-#[derive(Debug)]
-pub struct ElectedSimOutcome {
-    /// The finished fabric outcome — dataset, health, stats, scrub.
-    pub outcome: FabricOutcome,
-    /// Total steps announced (healthy runs: the sweep's kill range).
-    pub steps: u64,
-    /// Elections won across the schedule (≥ 1: the initial claim).
+    /// Elections won across the schedule: none without a term, else the
+    /// initial claim plus one per takeover.
     pub elections_won: u64,
     /// Killed coordinators whose end-of-run replay was CAS-fenced.
     pub coordinators_deposed: u64,
     /// Stashed zombie publishes replayed at the end — every one fenced.
     pub fenced_replays: u64,
-    /// Coordinator kills survived by a standby taking the term.
-    pub coordinator_crashes: u64,
 }
 
 /// Win an election or die trying: advance the clock past the incumbent's
@@ -297,38 +136,46 @@ fn elect_or_wait(
     ))
 }
 
-/// [`run_sim`] under coordinator **election**: the coordinator holds an
-/// elected term, heartbeats every loop iteration, and every durable write
-/// is fenced by the `COORD` record's CAS generation.
+/// Run one simulated fabric schedule to completion.
 ///
-/// When the probe kills the coordinator, the simulator does *not* reopen
-/// it — it keeps the dead incumbent around as a zombie, advances the
-/// clock past its heartbeat deadline, and has a **standby** (next owner
-/// id) win the term and finish the survey. After the table drains, every
-/// zombie coordinator replays its in-memory lease table via
-/// [`Coordinator::persist_table`] and every one must come back
-/// [`FabricError::Deposed`] — the CAS fence rejecting stale leadership at
-/// the store, with no cooperation from the zombie required.
+/// Deterministic: same survey, config, and plan → same trace, same
+/// dataset, same fingerprint. Time is a [`VirtualClock`] advanced by
+/// crawl work (`sites ×` [`SITE_MS`] per attempt) and fast-forwarded to
+/// the next lease deadline when every remaining lease is orphaned.
 ///
-/// Requires a backend with native conditional puts (see
-/// [`crate::election::election_supported`]).
-pub fn run_sim_elected(
+/// Under an elected term ([`FabricFaultPlan::heartbeat_ms`]) the
+/// coordinator heartbeats every loop iteration and after every crawl, and
+/// every durable write is fenced by the `COORD` record's CAS generation.
+/// A killed coordinator is then *not* reopened: a **standby** (next owner
+/// id) waits out its heartbeat, wins the term and finishes the survey.
+/// After the table drains, every dead incumbent replays its in-memory
+/// lease table via [`Coordinator::persist_table`], and every one must
+/// come back [`FabricError::Deposed`] — the CAS fence rejecting stale
+/// leadership at the store, with no cooperation from the zombie required.
+pub fn run_sim(
     survey: &Survey,
     backend: Arc<dyn StorageBackend>,
     cfg: &FabricConfig,
-    kill_at: Option<u64>,
-    heartbeat_ms: u64,
-) -> Result<ElectedSimOutcome, FabricError> {
+    plan: &FabricFaultPlan,
+) -> Result<SimOutcome, FabricError> {
     let mut meta = StoreMeta::for_survey(survey);
     meta.shard_capacity = cfg.shard_capacity.max(1);
-    let probe = StepProbe::new(kill_at);
+    let probe = StepProbe::new(plan.kill_at);
     let mut clock = VirtualClock::new();
     let mut elections_won = 0u64;
     let mut next_owner = 1u32;
-    let mut open_next = |clock: &mut VirtualClock| -> Result<Coordinator, FabricError> {
-        let owner = next_owner;
+    let mut open = |clock: &mut VirtualClock| -> Result<Coordinator, FabricError> {
+        let Some(heartbeat_ms) = plan.heartbeat_ms else {
+            return Coordinator::open(
+                Arc::clone(&backend),
+                survey,
+                meta.clone(),
+                cfg.sites_per_lease,
+                cfg.lease_ms,
+            );
+        };
+        let handle = elect_or_wait(backend.as_ref(), next_owner, clock, heartbeat_ms)?;
         next_owner += 1;
-        let handle = elect_or_wait(backend.as_ref(), owner, clock, heartbeat_ms)?;
         elections_won += 1;
         Coordinator::open_elected(
             Arc::clone(&backend),
@@ -339,54 +186,54 @@ pub fn run_sim_elected(
             handle,
         )
     };
-    let mut coordinator = open_next(&mut clock)?;
-    let mut stats = FabricTotals {
-        enabled: true,
-        workers: 1,
-        ..FabricTotals::default()
-    };
+    let mut coordinator = open(&mut clock)?;
+    coordinator.stats_mut().workers = 1;
     let mut coordinator_crashes = 0u64;
-    let mut zombie_coords: Vec<Coordinator> = Vec::new();
+    let mut dead_coordinators: Vec<Coordinator> = Vec::new();
     let mut zombies: Vec<WorkerPublish> = Vec::new();
     let mut guard = 0u32;
-    loop {
+    'sim: loop {
         guard += 1;
         if guard > 100_000 {
             return Err(FabricError::Fabric(
-                "simulated elected fabric failed to converge".into(),
+                "simulated fabric failed to converge".into(),
             ));
         }
-        // Failover model: the kill surfaces as CoordinatorKilled, but the
-        // dead incumbent is NOT restarted — a standby with a fresh owner id
-        // waits out the heartbeat and takes the term. The corpse is kept to
-        // prove, at the end, that the fence rejects everything it may yet
-        // write.
-        macro_rules! failover {
+        // Coordinator crash model: the kill surfaces as CoordinatorKilled.
+        // Without a term the simulator "restarts the process" by reopening
+        // from durable state; in-memory table changes that were never
+        // written are lost, exactly like a real crash. Under a term a
+        // standby takes over instead, and the corpse is kept to prove, at
+        // the end, that the fence rejects everything it may yet write.
+        // Either way the counters carry over to the successor.
+        macro_rules! crash {
             () => {{
                 coordinator_crashes += 1;
-                let successor = open_next(&mut clock)?;
-                zombie_coords.push(std::mem::replace(&mut coordinator, successor));
-                continue;
+                let successor = open(&mut clock)?;
+                let mut dead = std::mem::replace(&mut coordinator, successor);
+                *coordinator.stats_mut() = std::mem::take(dead.stats_mut());
+                if plan.heartbeat_ms.is_some() {
+                    dead_coordinators.push(dead);
+                }
+                continue 'sim;
             }};
         }
         coordinator.heartbeat(clock.now())?;
         match coordinator.reclaim_expired(clock.now(), &probe) {
-            Ok(n) => {
-                stats.leases_expired += n as u64;
-                stats.leases_reclaimed += n as u64;
-            }
-            Err(FabricError::CoordinatorKilled(_)) => failover!(),
-            Err(e) => return Err(e),
-        }
+            Err(FabricError::CoordinatorKilled(_)) => crash!(),
+            reclaimed => reclaimed?,
+        };
         if coordinator.all_completed() {
             break;
         }
         let grant = match coordinator.claim(clock.now(), &probe) {
-            Ok(g) => g,
-            Err(FabricError::CoordinatorKilled(_)) => failover!(),
-            Err(e) => return Err(e),
+            Err(FabricError::CoordinatorKilled(_)) => crash!(),
+            grant => grant?,
         };
         let Some(grant) = grant else {
+            // Everything outstanding is issued to dead workers (the
+            // simulator runs them to completion synchronously, so a live
+            // holder can't exist here). Fast-forward to the next deadline.
             let Some(deadline) = coordinator.next_deadline() else {
                 return Err(FabricError::Fabric(
                     "no pending leases, no deadlines, not complete".into(),
@@ -395,47 +242,50 @@ pub fn run_sim_elected(
             clock.advance_to(deadline);
             continue;
         };
-        stats.leases_issued += 1;
-        let run = run_worker(
-            survey,
-            backend.as_ref(),
-            grant,
-            cfg.shard_capacity.max(1),
-            &probe,
-        )?;
-        clock.advance((grant.end.saturating_sub(grant.start) as u64) * cfg.site_ms);
-        // Crawling took virtual time; prove liveness before merging so the
-        // next standby's takeover clockwork stays honest.
-        coordinator.heartbeat(clock.now())?;
-        let publish = match run {
-            WorkerRun::Published(p) => p,
-            WorkerRun::Died(orphan) => {
-                stats.workers_died += 1;
-                zombies.extend(orphan);
-                continue;
-            }
-        };
-        match coordinator.merge_publish(&publish, &probe) {
-            Ok(MergeOutcome::Accepted { records }) => {
-                stats.leases_completed += 1;
-                stats.records_absorbed += records as u64;
-            }
-            Ok(MergeOutcome::Fenced) => stats.publishes_fenced += 1,
-            Err(FabricError::CoordinatorKilled(_)) => {
-                zombies.push(publish);
-                failover!()
-            }
-            Err(e) => return Err(e),
+        let attempts = if plan.double_issue { 2 } else { 1 };
+        for _ in 0..attempts {
+            let run = run_worker(
+                survey,
+                backend.as_ref(),
+                grant,
+                cfg.shard_capacity.max(1),
+                &probe,
+            )?;
+            clock.advance((grant.end.saturating_sub(grant.start) as u64) * SITE_MS);
+            // Crawling took virtual time; prove liveness before merging so
+            // the next standby's takeover clockwork stays honest.
+            coordinator.heartbeat(clock.now())?;
+            let publish = match run {
+                WorkerRun::Published(p) => p,
+                WorkerRun::Died(orphan) => {
+                    coordinator.stats_mut().workers_died += 1;
+                    // A kill at the publish step leaves a zombie message;
+                    // replay it at the end to prove the fence holds.
+                    zombies.extend(orphan);
+                    continue;
+                }
+            };
+            match coordinator.merge_publish(&publish, &probe) {
+                Err(FabricError::CoordinatorKilled(_)) => {
+                    // Crashed mid-merge: the publish itself is now stale
+                    // from the successor's point of view (its lease either
+                    // completed durably or will reissue under a new
+                    // epoch). Keep it around as a zombie replay.
+                    zombies.push(publish);
+                    crash!()
+                }
+                merged => merged?,
+            };
         }
     }
-    // Zombie publish replays: fenced at the merge point, as in `run_sim`.
+    // The table has drained. Replay every zombie publish: each one's lease
+    // is Completed (or Issued under a bumped epoch it doesn't carry), so
+    // the merge point MUST fence it — acceptance here would be the
+    // double-count the fabric exists to prevent.
     let mut fenced_replays = 0u64;
     for publish in &zombies {
         match coordinator.merge_publish(publish, &NoProbe)? {
-            MergeOutcome::Fenced => {
-                fenced_replays += 1;
-                stats.publishes_fenced += 1;
-            }
+            MergeOutcome::Fenced => fenced_replays += 1,
             MergeOutcome::Accepted { .. } => {
                 return Err(FabricError::Fabric(format!(
                     "stale publish for lease {} epoch {} was accepted after drain",
@@ -449,8 +299,8 @@ pub fn run_sim_elected(
     // durable write it would make if it woke up now. The store's CAS fence
     // must reject every single one.
     let mut coordinators_deposed = 0u64;
-    for zombie in &mut zombie_coords {
-        match zombie.persist_table() {
+    for dead in &mut dead_coordinators {
+        match dead.persist_table() {
             Err(FabricError::Deposed(_)) => coordinators_deposed += 1,
             Err(e) => return Err(e),
             Ok(()) => {
@@ -460,17 +310,21 @@ pub fn run_sim_elected(
             }
         }
     }
-    stats.leases_total = coordinator.table().leases.len() as u64;
+    let stats = coordinator.stats_mut();
     stats.elections_won = elections_won;
     stats.coordinators_deposed = coordinators_deposed;
+    let worker_deaths = stats.workers_died;
     let steps = probe.steps();
-    let outcome = coordinator.finish(survey, stats, cfg.scrub_threads.max(1))?;
-    Ok(ElectedSimOutcome {
+    let trace = probe.trace();
+    let outcome = coordinator.finish(survey)?;
+    Ok(SimOutcome {
         outcome,
         steps,
+        trace,
+        worker_deaths,
+        coordinator_crashes,
         elections_won,
         coordinators_deposed,
         fenced_replays,
-        coordinator_crashes,
     })
 }

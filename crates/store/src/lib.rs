@@ -57,7 +57,7 @@ pub use backend::{
 pub use encode::{decode_site, encode_site};
 pub use faultfs::{FaultFs, StoreFaultPlan};
 pub use manifest::{Manifest, MANIFEST_NAME};
-pub use scrub::{default_scrub_threads, ScrubReport};
+pub use scrub::ScrubReport;
 pub use shard::{read_shard, SealedShard, ShardContents, ShardWriter};
 pub use store::{
     load_survey_dataset, load_survey_dataset_on, resume_survey, resume_survey_on, DatasetStore,

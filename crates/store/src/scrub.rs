@@ -44,7 +44,7 @@ use std::sync::Mutex;
 
 /// Default scrubber fan-out: the machine's parallelism, capped — per-shard
 /// verification is read + checksum work that saturates a handful of cores.
-pub fn default_scrub_threads() -> usize {
+fn default_scrub_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get().min(8))
 }
 

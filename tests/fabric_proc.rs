@@ -44,7 +44,6 @@ fn proc_config() -> ProcConfig {
         lease_ms: 600_000,
         poll_ms: 5,
         shard_capacity: 2,
-        scrub_threads: 2,
         heartbeat_ms: 60_000,
     }
 }

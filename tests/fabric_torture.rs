@@ -16,8 +16,11 @@
 //! kill is replayed after the table drains and must be fenced).
 //!
 //! Default is a bounded deterministic subset (CI-fast); set
-//! `BFU_TORTURE_FULL=1` to sweep every step. The `fabric_torture` binary
-//! in `bfu-bench` runs the full sweep standalone with progress output.
+//! `BFU_TORTURE_FULL=1` to sweep every step (any other value keeps it
+//! bounded). `scripts/ci.sh` passes the variable on to its workspace test
+//! step.
+
+mod common;
 
 use bfu_crawler::{CrawlConfig, Survey};
 use bfu_fabric::{
@@ -28,10 +31,15 @@ use bfu_store::{
     load_survey_dataset_on, FaultFs, LoadOutcome, StorageBackend, StoreFaultPlan, PROVENANCE_NAME,
 };
 use bfu_webgen::{SyntheticWeb, WebConfig};
+use common::sweep_points;
 use std::sync::{Arc, OnceLock};
 
 const SITES: usize = 8;
 const SEED: u64 = 137;
+/// Kill and partition points per sweep in the bounded run.
+const BUDGET: u64 = 48;
+/// The elected coordinator's heartbeat window, in virtual milliseconds.
+const HEARTBEAT_MS: u64 = 2_000;
 
 struct Fixture {
     survey: Survey,
@@ -68,9 +76,7 @@ fn torture_config() -> FabricConfig {
         workers: 1,
         sites_per_lease: 3,
         lease_ms: 10_000,
-        site_ms: 1_000,
         shard_capacity: 2,
-        scrub_threads: 2,
     }
 }
 
@@ -98,21 +104,14 @@ fn sim_with(survey: &Survey, plan: &FabricFaultPlan) -> Result<SimOutcome, Fabri
     run_sim(survey, backend, &torture_config(), plan)
 }
 
-/// The kill points to sweep: every step under `BFU_TORTURE_FULL=1` (or
-/// when the schedule is small), a deterministic stride subset otherwise.
-fn sweep_points(total: u64) -> Vec<u64> {
-    const BUDGET: u64 = 48;
-    let full = std::env::var("BFU_TORTURE_FULL").is_ok_and(|v| v == "1");
-    if full || total <= BUDGET {
-        return (0..total).collect();
+/// The elected schedule: the coordinator holds a term, heartbeating every
+/// [`HEARTBEAT_MS`], and is killed at `kill_at`.
+fn elected(kill_at: Option<u64>) -> FabricFaultPlan {
+    FabricFaultPlan {
+        kill_at,
+        heartbeat_ms: Some(HEARTBEAT_MS),
+        ..FabricFaultPlan::default()
     }
-    let stride = total.div_ceil(BUDGET);
-    let mut points: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    // Always include the last step: the final merge-commit/clean edge.
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
 }
 
 #[test]
@@ -136,7 +135,7 @@ fn healthy_fabric_matches_single_process() {
 fn kill_at_every_step_recovers_to_identical_fingerprint() {
     let fx = fixture();
     let total = fx.trace.len() as u64;
-    for k in sweep_points(total) {
+    for k in sweep_points(total, BUDGET) {
         let plan = FabricFaultPlan {
             kill_at: Some(k),
             ..FabricFaultPlan::default()
@@ -198,22 +197,31 @@ fn stale_publish_after_worker_death_is_fenced() {
 #[test]
 fn double_issued_lease_never_double_counts() {
     let fx = fixture();
-    let plan = FabricFaultPlan {
-        double_issue: true,
-        ..FabricFaultPlan::default()
-    };
-    let sim = sim_with(&fx.survey, &plan).expect("double-issue schedule");
-    let leases = sim.outcome.stats.leases_total;
-    assert_eq!(
-        sim.outcome.stats.publishes_fenced, leases,
-        "every lease's second publish must fence"
-    );
-    assert_eq!(sim.outcome.stats.leases_completed, leases);
-    assert_eq!(
-        sim.outcome.dataset.fingerprint(),
-        fx.baseline_fingerprint,
-        "double issue must not double count"
-    );
+    for heartbeat_ms in [None, Some(HEARTBEAT_MS)] {
+        let plan = FabricFaultPlan {
+            double_issue: true,
+            heartbeat_ms,
+            ..FabricFaultPlan::default()
+        };
+        // A term needs conditional puts, which the object store has.
+        let sim = match heartbeat_ms {
+            None => sim_with(&fx.survey, &plan),
+            Some(_) => obj_sim_with(&fx.survey, &plan, ObjFaultPlan::none()).0,
+        }
+        .unwrap_or_else(|e| panic!("double-issue schedule, term {heartbeat_ms:?}: {e}"));
+        let leases = sim.outcome.stats.leases_total;
+        assert_eq!(
+            sim.outcome.stats.publishes_fenced, leases,
+            "term {heartbeat_ms:?}: every lease's second publish must fence"
+        );
+        assert_eq!(sim.outcome.stats.leases_completed, leases);
+        assert_eq!(sim.elections_won, u64::from(heartbeat_ms.is_some()));
+        assert_eq!(
+            sim.outcome.dataset.fingerprint(),
+            fx.baseline_fingerprint,
+            "term {heartbeat_ms:?}: double issue must not double count"
+        );
+    }
 }
 
 #[test]
@@ -251,7 +259,6 @@ fn multi_worker_fabric_matches_single_process() {
         workers: 4,
         sites_per_lease: 2,
         shard_capacity: 2,
-        scrub_threads: 2,
         ..FabricConfig::default()
     };
     let outcome = run_survey_fabric(&survey, backend, &cfg).expect("4-worker fabric");
@@ -333,7 +340,7 @@ fn partition_at_every_backend_op_recovers_to_identical_fingerprint() {
     );
     healthy.expect("healthy object-store sim");
     let total_ops = store.ops();
-    for p in sweep_points(total_ops) {
+    for p in sweep_points(total_ops, BUDGET) {
         let (sim, store) = obj_sim_with(
             &fx.survey,
             &FabricFaultPlan::default(),
@@ -363,7 +370,7 @@ fn kill_and_partition_together_recover() {
     healthy.expect("healthy object-store sim");
     let total_ops = store.ops().max(1);
     let total_steps = fx.trace.len() as u64;
-    for k in sweep_points(total_steps) {
+    for k in sweep_points(total_steps, BUDGET) {
         // Derived, deterministic, and spread across the op schedule so
         // the pairing isn't always "partition right at the start".
         let p = (k.wrapping_mul(7) + 3) % total_ops;
@@ -461,7 +468,6 @@ fn restarted_fabric_adopts_orphaned_leases() {
         workers: 2,
         sites_per_lease: 2,
         shard_capacity: 2,
-        scrub_threads: 2,
         ..FabricConfig::default()
     };
     {
@@ -582,7 +588,10 @@ fn every_wire_fault_class_at_swept_exchanges_recovers() {
     let totals = rig.remote.remote_totals().expect("remote totals");
     assert_eq!(totals.retries, 0);
     let total_exchanges = totals.ops; // clean wire: one exchange per op
-    for (i, p) in sweep_points(total_exchanges).into_iter().enumerate() {
+    for (i, p) in sweep_points(total_exchanges, BUDGET)
+        .into_iter()
+        .enumerate()
+    {
         // Rotate through the fault classes across the swept positions so
         // the bounded run still exercises all six; `BFU_TORTURE_FULL=1`
         // sweeps every position (still rotating).
@@ -675,20 +684,15 @@ fn wire_chaos_plus_worker_kill_converges() {
 // incumbent's replayed table write must be rejected at the store.
 // ---------------------------------------------------------------------
 
-use bfu_fabric::run_sim_elected;
-
-const HEARTBEAT_MS: u64 = 2_000;
-
 #[test]
 fn healthy_elected_fabric_matches_single_process() {
     let fx = fixture();
     let rig = remote_rig(WireFaultPlan::none());
-    let sim = run_sim_elected(
+    let sim = run_sim(
         &fx.survey,
         Arc::clone(&rig.backend),
         &torture_config(),
-        None,
-        HEARTBEAT_MS,
+        &elected(None),
     )
     .expect("healthy elected sim");
     assert_eq!(sim.outcome.dataset.fingerprint(), fx.baseline_fingerprint);
@@ -703,58 +707,57 @@ fn coordinator_killed_at_every_step_standby_wins_and_finishes() {
     // coordinator step; a standby must take the term, finish the survey to
     // the identical fingerprint, and the dead incumbent's replayed write
     // must come back Deposed — rejected by the store's CAS fence, not by
-    // any cooperation from the zombie.
+    // any cooperation from the zombie. A kill at a worker step needs no
+    // takeover: the incumbent keeps its term and the lease reissues.
     let fx = fixture();
     let rig = remote_rig(WireFaultPlan::none());
-    let healthy = run_sim_elected(
+    let healthy = run_sim(
         &fx.survey,
         Arc::clone(&rig.backend),
         &torture_config(),
-        None,
-        HEARTBEAT_MS,
+        &elected(None),
     )
     .expect("healthy elected sim");
-    // Enumerate coordinator steps from the unelected fixture trace — the
-    // elected schedule announces the same labels in the same order (the
-    // healthy elected run's step count confirms it below).
-    assert_eq!(healthy.steps, fx.trace.len() as u64);
-    let points: Vec<u64> = fx
-        .trace
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.starts_with("coord:"))
-        .map(|(i, _)| i as u64)
-        .collect();
+    // The elected schedule announces the unelected fixture's labels in
+    // the same order, so the fixture trace enumerates its kill points.
+    assert_eq!(healthy.trace, fx.trace);
     assert!(
-        !points.is_empty(),
+        fx.trace.iter().any(|l| l.starts_with("coord:")),
         "the trace has coordinator steps to kill"
     );
-    for k in points {
+    for (k, label) in fx.trace.iter().enumerate() {
         let rig = remote_rig(WireFaultPlan::none());
-        let sim = run_sim_elected(
+        let sim = run_sim(
             &fx.survey,
             Arc::clone(&rig.backend),
             &torture_config(),
-            Some(k),
-            HEARTBEAT_MS,
+            &elected(Some(k as u64)),
         )
-        .unwrap_or_else(|e| panic!("elected kill at step {k} ({}): {e}", fx.trace[k as usize]));
+        .unwrap_or_else(|e| panic!("elected kill at step {k} ({label}): {e}"));
         assert_eq!(
             sim.outcome.dataset.fingerprint(),
             fx.baseline_fingerprint,
-            "elected kill at step {k} ({}) diverged",
-            fx.trace[k as usize]
+            "elected kill at step {k} ({label}) diverged"
         );
-        assert_eq!(sim.coordinator_crashes, 1, "step {k} kills the incumbent");
-        assert_eq!(
-            sim.elections_won, 2,
-            "step {k}: initial claim + the standby's takeover"
-        );
-        assert_eq!(
-            sim.coordinators_deposed, 1,
-            "step {k}: the zombie's replayed write must be CAS-fenced"
-        );
-        assert_eq!(sim.outcome.stats.coordinators_deposed, 1);
+        if label.starts_with("coord:") {
+            assert_eq!(sim.coordinator_crashes, 1, "step {k} kills the incumbent");
+            assert_eq!(
+                sim.elections_won, 2,
+                "step {k}: initial claim + the standby's takeover"
+            );
+            assert_eq!(
+                sim.coordinators_deposed, 1,
+                "step {k}: the zombie's replayed write must be CAS-fenced"
+            );
+            assert_eq!(sim.outcome.stats.coordinators_deposed, 1);
+        } else {
+            assert_eq!(sim.worker_deaths, 1, "step {k} ({label}) kills a worker");
+            assert_eq!(
+                sim.elections_won, 1,
+                "step {k}: the incumbent keeps its term"
+            );
+            assert_eq!(sim.coordinators_deposed, 0);
+        }
     }
 }
 
@@ -813,21 +816,6 @@ fn healthy_replica_ops() -> &'static Vec<u64> {
         assert_eq!(sim.outcome.dataset.fingerprint(), fx.baseline_fingerprint);
         rig.sims.iter().map(|s| s.ops()).collect()
     })
-}
-
-/// Sweep points over one replica's op space, `budget` per replica in the
-/// bounded run, exhaustive under `BFU_TORTURE_FULL=1`.
-fn replica_sweep_points(total: u64, budget: u64) -> Vec<u64> {
-    let full = std::env::var("BFU_TORTURE_FULL").is_ok_and(|v| v == "1");
-    if full || total <= budget {
-        return (0..total).collect();
-    }
-    let stride = total.div_ceil(budget);
-    let mut points: Vec<u64> = (0..total).step_by(stride as usize).collect();
-    if points.last() != Some(&(total - 1)) {
-        points.push(total - 1);
-    }
-    points
 }
 
 #[test]
@@ -900,7 +888,7 @@ fn kill_any_one_replica_at_any_of_its_ops_quorum_continues() {
     let ops = healthy_replica_ops();
     for (r, &total) in ops.iter().enumerate() {
         assert!(total > 10, "replica {r} workload too small: {total} ops");
-        for k in replica_sweep_points(total, 16) {
+        for k in sweep_points(total, 16) {
             let mut plans = [ObjFaultPlan::none(); 3];
             plans[r] = ObjFaultPlan::none().with_crash_at(k);
             let rig = replica_rig(plans);
@@ -936,7 +924,7 @@ fn partition_any_one_replica_at_any_of_its_ops_recovers() {
     let fx = fixture();
     let ops = healthy_replica_ops();
     for (r, &total) in ops.iter().enumerate() {
-        for p in replica_sweep_points(total, 8) {
+        for p in sweep_points(total, 8) {
             let mut plans = [ObjFaultPlan::none(); 3];
             plans[r] = ObjFaultPlan::none().with_partition_at(p);
             let rig = replica_rig(plans);
@@ -964,7 +952,7 @@ fn kill_replica_and_kill_worker_together_recover() {
     let fx = fixture();
     let ops = healthy_replica_ops();
     let total_steps = fx.trace.len() as u64;
-    for k in sweep_points(total_steps) {
+    for k in sweep_points(total_steps, BUDGET) {
         let r = (k % 3) as usize;
         let p = (k.wrapping_mul(7) + 3) % ops[r].max(1);
         let mut plans = [ObjFaultPlan::none(); 3];
@@ -1085,12 +1073,11 @@ fn elected_fabric_over_replicated_store_with_dead_cas_primary() {
     let mut plans = [ObjFaultPlan::none(); 3];
     plans[primary] = ObjFaultPlan::none().with_crash_at(0);
     let rig = replica_rig(plans);
-    let sim = run_sim_elected(
+    let sim = run_sim(
         &fx.survey,
         Arc::clone(&rig.backend),
         &torture_config(),
-        None,
-        HEARTBEAT_MS,
+        &elected(None),
     )
     .expect("elected sim over replicas with dead primary");
     assert_eq!(sim.outcome.dataset.fingerprint(), fx.baseline_fingerprint);
@@ -1108,12 +1095,11 @@ fn elected_fabric_over_replicated_store_with_dead_cas_primary() {
 fn elected_fabric_survives_wire_chaos() {
     let fx = fixture();
     let rig = remote_rig(WireFaultPlan::chaos(0xE1EC));
-    let sim = run_sim_elected(
+    let sim = run_sim(
         &fx.survey,
         Arc::clone(&rig.backend),
         &torture_config(),
-        None,
-        HEARTBEAT_MS,
+        &elected(None),
     )
     .expect("elected sim under wire chaos");
     assert_eq!(sim.outcome.dataset.fingerprint(), fx.baseline_fingerprint);

@@ -19,7 +19,7 @@ use bfu_core::{Study, StudyConfig};
 use bfu_crawler::{
     BrowserConfig, BrowserProfile, CrawlConfig, CrawlError, Dataset, FabricTotals, Survey,
 };
-use bfu_fabric::{run_sim, run_sim_elected, FabricConfig, FabricFaultPlan};
+use bfu_fabric::{run_sim, FabricConfig, FabricFaultPlan};
 use bfu_net::{FaultKind, FaultPlan, HostFault};
 use bfu_objstore::{ObjFaultPlan, ObjectBackend, SimObjectStore};
 use bfu_script::parser;
@@ -266,9 +266,7 @@ fn fabric_simulator_is_pinned() {
         workers: 1,
         sites_per_lease: 3,
         lease_ms: 10_000,
-        site_ms: 1_000,
         shard_capacity: 2,
-        scrub_threads: 2,
     };
     let healthy = FabricFaultPlan::default();
     let (backend, _) = fabric_backend(false);
@@ -321,7 +319,12 @@ fn fabric_simulator_is_pinned() {
     // Under an elected term, with a standby taking over after each kill.
     for kill_at in std::iter::once(None).chain(kills) {
         let (backend, ops) = fabric_backend(true);
-        let sim = run_sim_elected(&survey, backend, &cfg, kill_at, 2_000)
+        let plan = FabricFaultPlan {
+            kill_at,
+            heartbeat_ms: Some(2_000),
+            ..healthy
+        };
+        let sim = run_sim(&survey, backend, &cfg, &plan)
             .unwrap_or_else(|e| panic!("elected, kill at {kill_at:?}: {e}"));
         let fingerprint = sim.outcome.dataset.fingerprint();
         record(fingerprint, &sim.steps.to_string(), &sim.outcome.stats, ops);
