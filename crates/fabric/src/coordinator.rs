@@ -46,7 +46,8 @@ pub enum FabricError {
     Store(StoreError),
     /// The torture probe killed the coordinator at the named step. Real
     /// deployments never see this; the torture driver catches it, reopens
-    /// the coordinator from durable state, and proves recovery.
+    /// the coordinator from durable state (or, under an elected term, lets
+    /// a standby take over), and proves recovery.
     CoordinatorKilled(String),
     /// A fabric invariant was violated (a bug, not an environment fault).
     Fabric(String),
