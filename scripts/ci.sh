@@ -34,12 +34,12 @@ echo "==> cargo test -q (workspace)"
 #   AND partition the whole-object backend at every op (delayed visibility,
 #   stale reads/lists, lost replays under chaos), AND run the whole fabric
 #   over a hostile wire (dropped/truncated/stalled/duplicated/reordered
-#   frames, elected coordinator killed at every coordinator step with a
-#   standby finishing), AND over a 3-replica quorum store — any one replica
-#   killed at every one of its ops, partitioned for every window, killed
-#   together with a worker, rejoining empty and caught up by anti-entropy,
-#   the CAS primary dead from the start — proving every schedule recovers
-#   to the single-process fingerprint.
+#   frames, elected coordinator killed at every step, a standby finishing
+#   after each coordinator kill), AND over a 3-replica quorum store — any
+#   one replica killed at every one of its ops, partitioned for every
+#   window, killed together with a worker, rejoining empty and caught up by
+#   anti-entropy, the CAS primary dead from the start — proving every
+#   schedule recovers to the single-process fingerprint.
 # - objstore_torture: the whole-object backend: every-op crash sweep with
 #   process-restart recovery, manifest old-or-new on both publish lowerings
 #   (versioned put and copy+delete rename, including the window between
