@@ -213,6 +213,58 @@ fn script_front_end_is_pinned() {
     for depth in [128, 129] {
         sources.push(format!("{}{}", "{".repeat(depth), "}".repeat(depth)));
     }
+    // Errors inside bodies that never run: each must keep its message and
+    // line, the tree-printing ones included.
+    sources.extend(
+        [
+            "function f() { 1 = 2; }",
+            "var g = function() { x++ ++; };",
+            "function f() { --f(); }",
+            "function f() {\n  var a = 1;\n\n  a + = 2;\n}",
+            "function f() {\n  function g() {\n    return 1 +;\n  }\n}",
+            "setTimeout(function() { if (x { } }, 1);",
+            "function f() { var a = 1;",
+            "function f() { var s = 'open; }",
+            "function f() { /* open }",
+            "function f() { return 1; } @",
+        ]
+        .map(String::from),
+    );
+    let mut bundle = String::from("function __bundle() {\n");
+    for i in 0..250 {
+        let body = if i == 199 {
+            "var = y;"
+        } else {
+            "var u = x * 3;"
+        };
+        bundle.push_str(&format!(
+            "  function helper{i}(x, y) {{ {body} return u; }}\n"
+        ));
+    }
+    bundle.push_str("  return helper0;\n}\n");
+    sources.push(bundle);
+    // The depth guard's edges inside a function body and inside a
+    // function-expression argument, paired as above.
+    for depth in [124, 125] {
+        let bangs = "!".repeat(depth);
+        sources.push(format!("function f() {{ var n = {bangs}1; }}"));
+    }
+    for depth in [127, 128] {
+        let (open, close) = ("{".repeat(depth), "}".repeat(depth));
+        sources.push(format!("function f() {{ {open}{close} }}"));
+    }
+    for depth in [120, 121] {
+        let bangs = "!".repeat(depth);
+        sources.push(format!(
+            "setTimeout(function() {{ var n = {bangs}1; }}, 1);"
+        ));
+    }
+    for depth in [60, 61] {
+        let (open, close) = ("(".repeat(depth), ")".repeat(depth));
+        sources.push(format!(
+            "setTimeout(function() {{ var x = {open}1{close}; }}, 1);"
+        ));
+    }
     let mut digest = Fnv64::new();
     let mut errors = 0;
     for src in &sources {
@@ -223,7 +275,7 @@ fn script_front_end_is_pinned() {
     let got = (sources.len(), errors, digest.finish());
     assert_eq!(
         got,
-        (433, 6, 0x98af_68fc_66be_e623),
+        (452, 21, 0xc02f_0f0d_aa6c_1e84),
         "script front end: (sources, parse errors, digest) = ({}, {}, {:#018x})",
         got.0,
         got.1,
