@@ -5,9 +5,16 @@
 //! interpretation are `u32` equality. Function definitions are `Arc`-shared
 //! (not `Rc`): the compilation cache hands the *same* parsed program to every
 //! worker thread, so the tree must be `Send + Sync`.
+//!
+//! A function's statements are built on its first call, not at parse time:
+//! the parser checks the body's syntax and keeps it as a [`Body`], a span of
+//! the script's shared source. Scripts ship far more functions than a visit
+//! calls, so most bodies never get a tree.
 
 use bfu_util::Atom;
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// Binary arithmetic/comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +181,77 @@ pub struct FunctionDef {
     pub name: Option<Atom>,
     /// Parameter names.
     pub params: Vec<Atom>,
-    /// Body statements.
-    pub body: Vec<Stmt>,
+    /// Body statements, parsed on first use.
+    pub body: Body,
+}
+
+/// A function body: a span of the script's source whose statements are
+/// parsed on first use, once, by whichever thread asks first.
+///
+/// The parser has already checked the span's syntax at the same depth, so
+/// that parse cannot fail. Functions nested in the body are deferred again.
+/// `Debug` and `PartialEq` see the statements, and so parse the body.
+#[derive(Clone)]
+pub struct Body {
+    /// The whole script's source, shared by every body in it.
+    src: Arc<[u8]>,
+    /// Bytes from `{` through `}`.
+    span: Range<u32>,
+    /// Line of the `{`.
+    line: u32,
+    /// Parser depth at the body, so the depth guard trips where it did.
+    depth: u32,
+    stmts: OnceLock<Vec<Stmt>>,
+}
+
+impl Body {
+    /// A body over `span` of `src`, opened on `line` at parser `depth`;
+    /// `stmts` when the parser built them already.
+    pub(crate) fn new(
+        src: Arc<[u8]>,
+        span: Range<u32>,
+        line: u32,
+        depth: u32,
+        stmts: Option<Vec<Stmt>>,
+    ) -> Body {
+        Body {
+            src,
+            span,
+            line,
+            depth,
+            stmts: stmts.map_or_else(OnceLock::new, OnceLock::from),
+        }
+    }
+
+    /// The statements, parsing them on first use (thread-safe, memoized).
+    pub fn stmts(&self) -> &[Stmt] {
+        self.stmts.get_or_init(|| {
+            crate::parser::parse_body(&self.src, self.span.clone(), self.line, self.depth)
+        })
+    }
+
+    /// The statements, if some use has already parsed them.
+    pub fn parsed(&self) -> Option<&[Stmt]> {
+        self.stmts.get().map(Vec::as_slice)
+    }
+
+    /// The shared source the body is a span of.
+    #[cfg(test)]
+    pub(crate) fn source(&self) -> &Arc<[u8]> {
+        &self.src
+    }
+}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.stmts(), f)
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Self) -> bool {
+        self.stmts() == other.stmts()
+    }
 }
 
 /// Statements.

@@ -173,6 +173,40 @@ mod tests {
     }
 
     #[test]
+    fn first_call_parses_at_the_depth_edge_on_a_crawl_thread_stack() {
+        // A function body is parsed on its first call, on top of the
+        // interpreter's stack. Here the innermost of the default 64 nested
+        // calls is the first call of a body nested to the parser's depth
+        // edge, on a thread with the default 2 MiB stack crawl threads get.
+        use crate::parser::parse;
+        let deep = |parens: usize| {
+            let (open, close) = ("(".repeat(parens), ")".repeat(parens));
+            format!("function deep() {{ return {open}1{close}; }}\n")
+        };
+        assert!(parse(&deep(63)).is_err(), "62 is the edge");
+        let rec = "function rec(k) { if (k > 1) { return rec(k - 1); } return deep(); }";
+        // `rec(63)` makes 64 nested calls, the limit; `rec(64)` one more.
+        let sources = [63, 64].map(|k| format!("{}{rec}\nrec({k});", deep(62)));
+        let run = move || {
+            for (src, fits) in sources.iter().zip([true, false]) {
+                let program = parse(src).expect("parses");
+                let tree_walk = crate::Interpreter::new().run(&program);
+                let chunk = crate::compile(&program).expect("compiles");
+                let vm = crate::run_chunk(&mut crate::Interpreter::new(), &chunk);
+                for result in [tree_walk, vm] {
+                    match (fits, result) {
+                        (true, Ok(v)) => assert_eq!(v.to_number(), 1.0),
+                        (false, Err(RuntimeError::StackOverflow)) => {}
+                        (_, other) => panic!("{other:?}"),
+                    }
+                }
+            }
+        };
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(run);
+        thread.expect("spawns").join().expect("fits the stack");
+    }
+
+    #[test]
     fn reasonable_nesting_still_parses() {
         let src = format!("var x = {}1{};", "(".repeat(40), ")".repeat(40));
         assert!(crate::parser::parse(&src).is_ok());

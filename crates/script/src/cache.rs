@@ -33,7 +33,7 @@
 
 use crate::ast::Program;
 use crate::compile::{Chunk, CompileError};
-use crate::parser::{parse, ParseError};
+use crate::parser::{parse_shared, ParseError};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -303,9 +303,10 @@ impl ScriptCache {
         // Parse under the stripe lock: a second thread racing on the same
         // source waits here and then hits, so misses count unique sources
         // exactly and no parse ever runs twice.
-        let result = parse(src.text).map(Arc::new);
+        let source = src.to_shared();
+        let result = parse_shared(src.text, &source).map(Arc::new);
         map.entry(key).or_default().push(Entry {
-            source: src.to_shared(),
+            source,
             outcome: result.clone(),
         });
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -381,7 +382,7 @@ impl ScriptCache {
             return (Arc::clone(&cached.source), cached.outcome.clone());
         }
         let source = src.to_shared();
-        let result = parse(src.text).map(Arc::new);
+        let result = parse_shared(src.text, &source).map(Arc::new);
         map.entry(key).or_default().push(Entry {
             source: Arc::clone(&source),
             outcome: result.clone(),
@@ -480,23 +481,45 @@ mod tests {
         assert_eq!(s.unique_sources, 2, "each filled its own AST entry");
     }
 
+    /// The function declarations of `program`, in order.
+    fn decls(program: &Program) -> Vec<Arc<crate::ast::FunctionDef>> {
+        let decls = program.body.iter().filter_map(|s| match s {
+            crate::ast::Stmt::FunctionDecl(def) => Some(Arc::clone(def)),
+            _ => None,
+        });
+        decls.collect()
+    }
+
     #[test]
     fn hits_are_confirmed_by_allocation_or_bytes() {
-        let cache = ScriptCache::new();
-        let body: Arc<[u8]> = Arc::from(&b"var x = 3;"[..]);
-        let text = std::str::from_utf8(&body).unwrap();
-        let (_, o) = cache.lookup_or_parse_counted(Source::decoded(text, &body));
-        assert_eq!(o, CacheOutcome::Miss);
-        // The miss kept the body's allocation, not a copy.
-        let key = ScriptCache::content_hash(text);
-        let kept = Arc::clone(&lock(stripe(&cache.stripes, key))[&key][0].source);
-        assert!(Arc::ptr_eq(&kept, &body));
-        // Equal bytes in another allocation hit too.
-        let copy = String::from("var x = 3;");
-        assert_eq!(
-            cache.lookup_or_parse_counted(copy.as_str()).1,
-            CacheOutcome::Hit
-        );
+        let src = "function f() { return 3; } var x = 3;";
+        for compiled in [false, true] {
+            let cache = ScriptCache::new();
+            let body: Arc<[u8]> = Arc::from(src.as_bytes());
+            let text = std::str::from_utf8(&body).unwrap();
+            let source = Source::decoded(text, &body);
+            if compiled {
+                cache.lookup_or_compile(source).unwrap();
+            }
+            let (program, o) = cache.lookup_or_parse_counted(source);
+            assert_eq!(
+                o,
+                [CacheOutcome::Miss, CacheOutcome::Hit][usize::from(compiled)]
+            );
+            // The miss kept the body's allocation, not a copy, and the
+            // program's deferred function bodies share it.
+            let key = ScriptCache::content_hash(text);
+            let kept = Arc::clone(&lock(stripe(&cache.stripes, key))[&key][0].source);
+            assert!(Arc::ptr_eq(&kept, &body));
+            let f = decls(&program.unwrap()).remove(0);
+            assert!(Arc::ptr_eq(f.body.source(), &body));
+            // Equal bytes in another allocation hit too.
+            let copy = String::from(src);
+            assert_eq!(
+                cache.lookup_or_parse_counted(copy.as_str()).1,
+                CacheOutcome::Hit
+            );
+        }
     }
 
     #[test]
@@ -565,6 +588,36 @@ mod tests {
         assert_eq!(s.misses, 8, "one parse per unique source");
         assert_eq!(s.hits, 4 * 8 - 8);
         assert_eq!(s.unique_sources, 8);
+    }
+
+    #[test]
+    fn concurrent_first_calls_parse_a_body_once() {
+        let src = "function f(n) { return n * 2; } var x = f(21);";
+        let cache = ScriptCache::new();
+        let program = cache.lookup_or_parse(src).unwrap();
+        let f = decls(&program).remove(0);
+        assert!(f.body.parsed().is_none());
+        let start = std::sync::Barrier::new(4);
+        let seen: Vec<&[crate::ast::Stmt]> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let program = cache.lookup_or_parse(src).unwrap();
+                        let mut interp = crate::Interpreter::new();
+                        start.wait();
+                        interp.run(&program).unwrap();
+                        assert_eq!(interp.get_global("x").to_number(), 42.0);
+                        f.body.parsed()
+                    })
+                })
+                .collect();
+            runs.into_iter()
+                .map(|run| run.join().unwrap().expect("called"))
+                .collect()
+        });
+        // One parse: every thread sees the same statements.
+        assert!(seen.iter().all(|&stmts| std::ptr::eq(stmts, seen[0])));
+        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -563,19 +563,20 @@ impl FnCompiler {
     }
 
     fn compile_function(def: &FunctionDef) -> Result<FuncChunk, CompileError> {
-        if stmts_contain_function(&def.body) {
+        let body = def.body.stmts();
+        if stmts_contain_function(body) {
             let mut c = FnCompiler::new(ChunkMode::Env);
-            let hoisted = c.precompile_hoisted(&def.body)?;
-            for (i, s) in def.body.iter().enumerate() {
+            let hoisted = c.precompile_hoisted(body)?;
+            for (i, s) in body.iter().enumerate() {
                 c.emit_body_stmt(s, hoisted.get(&i).copied())?;
             }
             c.finish(def.name, &def.params, None, hoisted.into_values().collect())
         } else {
             let mut c = FnCompiler::new(ChunkMode::Slot);
-            let plan = SlotPlan::build(&def.params, def.name, &def.body);
+            let plan = SlotPlan::build(&def.params, def.name, body);
             c.slot_maps = plan.maps;
             c.open_scopes = vec![0];
-            for s in &def.body {
+            for s in body {
                 c.stmt(s)?;
             }
             c.finish(def.name, &def.params, Some(plan.n_slots), Vec::new())

@@ -296,7 +296,8 @@ impl Interpreter {
             }
             Callable::Script { def, env } => {
                 let call_env = self.push_env(Some(env), this);
-                self.hoist_functions(&def.body, call_env);
+                let body = def.body.stmts();
+                self.hoist_functions(body, call_env);
                 for (i, p) in def.params.iter().enumerate() {
                     let v = args.get(i).cloned().unwrap_or(Value::Undefined);
                     self.envs[call_env.index()].vars.insert(*p, v);
@@ -309,7 +310,7 @@ impl Interpreter {
                 }
                 let mut out = Value::Undefined;
                 let mut err = None;
-                for stmt in &def.body {
+                for stmt in body {
                     match self.exec(stmt, call_env) {
                         Ok(Flow::Normal) => {}
                         Ok(Flow::Return(v)) => {

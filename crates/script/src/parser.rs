@@ -3,11 +3,18 @@
 //! Standard precedence-climbing expression parser; statements cover the
 //! subset `bfu-webgen` emits and a bit more (so hand-written page scripts in
 //! tests and examples are pleasant to write).
+//!
+//! The grammar is written once, generic over a [`Build`]er: [`Tree`] makes
+//! syntax-tree nodes and [`Check`] makes nothing. The tree builder reads
+//! each function body with the checker, so a syntax error anywhere still
+//! fails the parse, and keeps the body as an [`ast::Body`](Body) whose
+//! statements it builds on first use ([`parse_body`]).
 
 use crate::ast::*;
-use crate::token::{lex, Keyword, SpannedTok, Tok};
+use crate::token::{lex, lex_at, Keyword, LexError, SpannedTok, Tok};
 use bfu_util::Atom;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Parse error.
@@ -27,22 +34,75 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a program.
-pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src).map_err(|e| ParseError {
-        message: e.message,
-        line: e.line,
-    })?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        depth: 0,
-    };
-    let mut body = Vec::new();
-    while p.peek().is_some() {
-        body.push(p.statement()?);
+impl From<LexError> for ParseError {
+    fn from(e: LexError) -> Self {
+        ParseError {
+            message: e.message,
+            line: e.line,
+        }
     }
-    Ok(Program { body })
+}
+
+/// Parse a program. Function bodies are checked now and built on first
+/// use; if the script defines a function, its bodies share one copy of
+/// `src`.
+pub fn parse(src: &str) -> Result<Program, ParseError> {
+    parse_source(src, None)
+}
+
+/// [`parse`] `text`, whose bytes `shared` holds: the program's function
+/// bodies share that allocation instead of a copy.
+pub(crate) fn parse_shared(text: &str, shared: &Arc<[u8]>) -> Result<Program, ParseError> {
+    parse_source(text, Some(shared))
+}
+
+fn parse_source(text: &str, shared: Option<&Arc<[u8]>>) -> Result<Program, ParseError> {
+    let program = |toks, eager| {
+        let mut p = Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+            text,
+            shared: shared.cloned(),
+            eager,
+        };
+        let mut body = Vec::new();
+        while p.peek().is_some() {
+            body.push(p.statement::<Tree>()?);
+        }
+        Ok(Program { body })
+    };
+    program(lex(text)?, false).or_else(|_| {
+        // The checker has no tree to print in its errors, so a failed
+        // parse runs again with every body built, and reports the tree
+        // builder's own message and line. Only malformed sources pay.
+        program(lex(text)?, true)
+    })
+}
+
+/// The statements of the function body at `span` of `src`, opened on
+/// `line` at parser `depth`. The parser already checked these bytes at
+/// this depth with the same grammar, so a failure here is a bug.
+pub(crate) fn parse_body(src: &Arc<[u8]>, span: Range<u32>, line: u32, depth: u32) -> Vec<Stmt> {
+    let parsed = (|| -> Result<Vec<Stmt>, String> {
+        let bytes = src.get(span.start as usize..span.end as usize);
+        let text = std::str::from_utf8(bytes.ok_or("span outside the source")?)
+            .map_err(|e| e.to_string())?;
+        let mut p = Parser {
+            toks: lex_at(text, line, span.start).map_err(|e| e.to_string())?,
+            pos: 0,
+            depth,
+            text,
+            shared: Some(Arc::clone(src)),
+            eager: false,
+        };
+        let stmts = p.block::<Tree>().map_err(|e| e.to_string())?;
+        match p.peek() {
+            None => Ok(stmts),
+            Some(tok) => Err(format!("{tok:?} after the body")),
+        }
+    })();
+    parsed.unwrap_or_else(|e| panic!("bug: a checked function body failed to parse: {e}"))
 }
 
 /// The node a binary operator builds.
@@ -77,16 +137,301 @@ const BINARY: [(&str, u8, Infix); 15] = [
 /// script.
 const MAX_PARSE_DEPTH: u32 = 128;
 
-struct Parser {
+/// What the grammar makes of what it reads: one constructor per node.
+trait Build {
+    type Expr: fmt::Debug;
+    type Stmt;
+    /// An assignment or `++`/`--` target.
+    type Place;
+    /// A function definition.
+    type Func;
+    /// A sequence of nodes.
+    type List<T>: Default + Extend<T> + FromIterator<T>;
+
+    /// A node with no children: a literal, an identifier or `this`.
+    fn leaf(e: Expr) -> Self::Expr;
+    fn member(obj: Self::Expr, prop: Atom) -> Self::Expr;
+    fn index(obj: Self::Expr, key: Self::Expr) -> Self::Expr;
+    /// A call, or with `new` a construction.
+    fn call(callee: Self::Expr, args: Self::List<Self::Expr>, new: bool) -> Self::Expr;
+    /// `e` as a target, or `e` back if it cannot be assigned to.
+    fn place(e: Self::Expr) -> Result<Self::Place, Self::Expr>;
+    fn assign(place: Self::Place, op: Option<BinOp>, value: Self::Expr) -> Self::Expr;
+    fn inc_dec(place: Self::Place, is_inc: bool, postfix: bool) -> Self::Expr;
+    fn infix(op: Infix, lhs: Self::Expr, rhs: Self::Expr) -> Self::Expr;
+    fn unary(op: UnaryOp, expr: Self::Expr) -> Self::Expr;
+    fn cond(cond: Self::Expr, then: Self::Expr, otherwise: Self::Expr) -> Self::Expr;
+    fn object(props: Self::List<(Atom, Self::Expr)>) -> Self::Expr;
+    fn array(items: Self::List<Self::Expr>) -> Self::Expr;
+    fn function_expr(def: Self::Func) -> Self::Expr;
+    /// Read a function's `{ … }` body and define the function.
+    fn function(
+        p: &mut Parser<'_>,
+        name: Option<Atom>,
+        params: Self::List<Atom>,
+    ) -> Result<Self::Func, ParseError>;
+    fn var(name: Atom, init: Option<Self::Expr>) -> Self::Stmt;
+    fn function_decl(def: Self::Func) -> Self::Stmt;
+    fn ret(value: Option<Self::Expr>) -> Self::Stmt;
+    fn if_else(
+        cond: Self::Expr,
+        then: Self::List<Self::Stmt>,
+        otherwise: Self::List<Self::Stmt>,
+    ) -> Self::Stmt;
+    fn while_loop(cond: Self::Expr, body: Self::List<Self::Stmt>) -> Self::Stmt;
+    fn for_loop(
+        init: Option<Self::Stmt>,
+        cond: Option<Self::Expr>,
+        update: Option<Self::Expr>,
+        body: Self::List<Self::Stmt>,
+    ) -> Self::Stmt;
+    fn block(body: Self::List<Self::Stmt>) -> Self::Stmt;
+    fn expr(e: Self::Expr) -> Self::Stmt;
+    /// A statement with no children: `break` or `continue`.
+    fn jump(s: Stmt) -> Self::Stmt;
+}
+
+/// Builds the syntax tree, with every function body deferred.
+struct Tree;
+
+impl Build for Tree {
+    type Expr = Expr;
+    type Stmt = Stmt;
+    type Place = Place;
+    type Func = Arc<FunctionDef>;
+    type List<T> = Vec<T>;
+
+    fn leaf(e: Expr) -> Expr {
+        e
+    }
+    fn member(obj: Expr, prop: Atom) -> Expr {
+        Expr::Member(Box::new(obj), prop)
+    }
+    fn index(obj: Expr, key: Expr) -> Expr {
+        Expr::Index(Box::new(obj), Box::new(key))
+    }
+    fn call(callee: Expr, args: Vec<Expr>, new: bool) -> Expr {
+        let callee = Box::new(callee);
+        if new {
+            Expr::New { callee, args }
+        } else {
+            Expr::Call { callee, args }
+        }
+    }
+    fn place(e: Expr) -> Result<Place, Expr> {
+        match e {
+            Expr::Ident(name) => Ok(Place::Var(name)),
+            Expr::Member(obj, prop) => Ok(Place::Member(obj, prop)),
+            Expr::Index(obj, key) => Ok(Place::Index(obj, key)),
+            other => Err(other),
+        }
+    }
+    fn assign(place: Place, op: Option<BinOp>, value: Expr) -> Expr {
+        let value = Box::new(value);
+        Expr::Assign { place, op, value }
+    }
+    fn inc_dec(place: Place, is_inc: bool, postfix: bool) -> Expr {
+        Expr::IncDec {
+            place,
+            is_inc,
+            postfix,
+        }
+    }
+    fn infix(op: Infix, lhs: Expr, rhs: Expr) -> Expr {
+        let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+        match op {
+            Infix::Logical(op) => Expr::Logical { op, lhs, rhs },
+            Infix::Binary(op) => Expr::Binary { op, lhs, rhs },
+        }
+    }
+    fn unary(op: UnaryOp, expr: Expr) -> Expr {
+        let expr = Box::new(expr);
+        Expr::Unary { op, expr }
+    }
+    fn cond(cond: Expr, then: Expr, otherwise: Expr) -> Expr {
+        Expr::Cond {
+            cond: Box::new(cond),
+            then: Box::new(then),
+            otherwise: Box::new(otherwise),
+        }
+    }
+    fn object(props: Vec<(Atom, Expr)>) -> Expr {
+        Expr::ObjectLit(props)
+    }
+    fn array(items: Vec<Expr>) -> Expr {
+        Expr::ArrayLit(items)
+    }
+    fn function_expr(def: Arc<FunctionDef>) -> Expr {
+        Expr::Function(def)
+    }
+    /// Checks the body where it stands and keeps its span; only the retry
+    /// after a failed parse builds it now.
+    fn function(
+        p: &mut Parser<'_>,
+        name: Option<Atom>,
+        params: Vec<Atom>,
+    ) -> Result<Arc<FunctionDef>, ParseError> {
+        let (open, line, depth) = (p.offset(), p.line(), p.depth);
+        let stmts = if p.eager {
+            Some(p.block::<Tree>()?)
+        } else {
+            p.block::<Check>()?;
+            None
+        };
+        // The block ended on its `}`.
+        let close = p.toks[p.pos - 1].offset + 1;
+        let body = Body::new(p.shared(), open..close, line, depth, stmts);
+        Ok(Arc::new(FunctionDef { name, params, body }))
+    }
+    fn var(name: Atom, init: Option<Expr>) -> Stmt {
+        Stmt::Var(name, init)
+    }
+    fn function_decl(def: Arc<FunctionDef>) -> Stmt {
+        Stmt::FunctionDecl(def)
+    }
+    fn ret(value: Option<Expr>) -> Stmt {
+        Stmt::Return(value)
+    }
+    fn if_else(cond: Expr, then: Vec<Stmt>, otherwise: Vec<Stmt>) -> Stmt {
+        Stmt::If {
+            cond,
+            then,
+            otherwise,
+        }
+    }
+    fn while_loop(cond: Expr, body: Vec<Stmt>) -> Stmt {
+        Stmt::While { cond, body }
+    }
+    fn for_loop(
+        init: Option<Stmt>,
+        cond: Option<Expr>,
+        update: Option<Expr>,
+        body: Vec<Stmt>,
+    ) -> Stmt {
+        let init = init.map(Box::new);
+        Stmt::For {
+            init,
+            cond,
+            update,
+            body,
+        }
+    }
+    fn block(body: Vec<Stmt>) -> Stmt {
+        Stmt::Block(body)
+    }
+    fn expr(e: Expr) -> Stmt {
+        Stmt::Expr(e)
+    }
+    fn jump(s: Stmt) -> Stmt {
+        s
+    }
+}
+
+/// Builds nothing: accepts exactly what [`Tree`] accepts. An expression is
+/// only whether it can be assigned to, the one property of a tree the
+/// grammar tests; parentheses pass it through, as they pass `Tree`'s node.
+struct Check;
+
+/// A list that keeps nothing.
+#[derive(Default)]
+struct Nothing;
+
+impl<T> Extend<T> for Nothing {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
+        items.into_iter().for_each(drop);
+    }
+}
+
+impl<T> FromIterator<T> for Nothing {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        items.into_iter().for_each(drop);
+        Nothing
+    }
+}
+
+impl Build for Check {
+    type Expr = bool;
+    type Stmt = ();
+    type Place = ();
+    type Func = ();
+    type List<T> = Nothing;
+
+    fn leaf(e: Expr) -> bool {
+        matches!(e, Expr::Ident(_))
+    }
+    fn member(_: bool, _: Atom) -> bool {
+        true
+    }
+    fn index(_: bool, _: bool) -> bool {
+        true
+    }
+    fn call(_: bool, _: Nothing, _: bool) -> bool {
+        false
+    }
+    fn place(e: bool) -> Result<(), bool> {
+        e.then_some(()).ok_or(e)
+    }
+    fn assign(_: (), _: Option<BinOp>, _: bool) -> bool {
+        false
+    }
+    fn inc_dec(_: (), _: bool, _: bool) -> bool {
+        false
+    }
+    fn infix(_: Infix, _: bool, _: bool) -> bool {
+        false
+    }
+    fn unary(_: UnaryOp, _: bool) -> bool {
+        false
+    }
+    fn cond(_: bool, _: bool, _: bool) -> bool {
+        false
+    }
+    fn object(_: Nothing) -> bool {
+        false
+    }
+    fn array(_: Nothing) -> bool {
+        false
+    }
+    fn function_expr(_: ()) -> bool {
+        false
+    }
+    fn function(p: &mut Parser<'_>, _: Option<Atom>, _: Nothing) -> Result<(), ParseError> {
+        p.block::<Check>().map(drop)
+    }
+    fn var(_: Atom, _: Option<bool>) {}
+    fn function_decl(_: ()) {}
+    fn ret(_: Option<bool>) {}
+    fn if_else(_: bool, _: Nothing, _: Nothing) {}
+    fn while_loop(_: bool, _: Nothing) {}
+    fn for_loop(_: Option<()>, _: Option<bool>, _: Option<bool>, _: Nothing) {}
+    fn block(_: Nothing) {}
+    fn expr(_: bool) {}
+    fn jump(_: Stmt) {}
+}
+
+/// Add `item` to `list`.
+fn push<T>(list: &mut impl Extend<T>, item: T) {
+    list.extend(Some(item));
+}
+
+struct Parser<'a> {
     toks: Vec<SpannedTok>,
     pos: usize,
     /// Current grammar-recursion depth (statements, expressions, unary
     /// chains). Deeply nested hostile source (`((((…`, `[[[[…`, `!!!!…`)
     /// must fail with a [`ParseError`], not overflow the native stack.
     depth: u32,
+    /// The text being parsed.
+    text: &'a str,
+    /// The whole source function bodies are spans of: the caller's
+    /// allocation, or a copy of `text` made at the first function.
+    shared: Option<Arc<[u8]>>,
+    /// Build every function body now instead of deferring it. Only the
+    /// retry after a failed parse sets this.
+    eager: bool,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn enter(&mut self) -> Result<(), ParseError> {
         if self.depth >= MAX_PARSE_DEPTH {
             return Err(self.err("nesting too deep"));
@@ -100,6 +445,21 @@ impl Parser {
 
     fn line(&self) -> u32 {
         self.toks.get(self.pos).map_or(0, |t| t.line)
+    }
+
+    /// Byte offset of the current token (0 at EOF).
+    fn offset(&self) -> u32 {
+        self.toks.get(self.pos).map_or(0, |t| t.offset)
+    }
+
+    /// The allocation function bodies share, made on first use if the
+    /// caller had none.
+    fn shared(&mut self) -> Arc<[u8]> {
+        let text = self.text;
+        Arc::clone(
+            self.shared
+                .get_or_insert_with(|| Arc::from(text.as_bytes())),
+        )
     }
 
     /// Move the current token out: the parser never reads a consumed token
@@ -150,72 +510,73 @@ impl Parser {
         }
     }
 
+    /// `e` as an assignment target, or the error naming it.
+    fn place<B: Build>(&self, e: B::Expr, what: &str) -> Result<B::Place, ParseError> {
+        B::place(e).map_err(|other| self.err(format!("invalid {what} target {other:?}")))
+    }
+
     // ---- statements ----
 
-    fn statement(&mut self) -> Result<Stmt, ParseError> {
+    fn statement<B: Build>(&mut self) -> Result<B::Stmt, ParseError> {
         self.enter()?;
-        let stmt = self.statement_inner();
+        let stmt = self.statement_inner::<B>();
         self.depth -= 1;
         stmt
     }
 
-    fn statement_inner(&mut self) -> Result<Stmt, ParseError> {
+    fn statement_inner<B: Build>(&mut self) -> Result<B::Stmt, ParseError> {
         match self.peek() {
             Some(Tok::Kw(Keyword::Var)) => {
                 self.bump();
                 let name = self.expect_ident()?;
                 let init = if self.eat_op("=") {
-                    Some(self.expression()?)
+                    Some(self.expression::<B>()?)
                 } else {
                     None
                 };
                 self.expect_op(";")?;
-                Ok(Stmt::Var(name, init))
+                Ok(B::var(name, init))
             }
             Some(Tok::Kw(Keyword::Function)) => {
                 self.bump();
                 let name = self.expect_ident()?;
-                let def = self.function_rest(Some(name))?;
-                Ok(Stmt::FunctionDecl(Arc::new(def)))
+                let def = self.function_rest::<B>(Some(name))?;
+                Ok(B::function_decl(def))
             }
             Some(Tok::Kw(Keyword::Return)) => {
                 self.bump();
                 let value = if matches!(self.peek(), Some(Tok::Op(";"))) {
                     None
                 } else {
-                    Some(self.expression()?)
+                    Some(self.expression::<B>()?)
                 };
                 self.expect_op(";")?;
-                Ok(Stmt::Return(value))
+                Ok(B::ret(value))
             }
             Some(Tok::Kw(Keyword::If)) => {
                 self.bump();
                 self.expect_op("(")?;
-                let cond = self.expression()?;
+                let cond = self.expression::<B>()?;
                 self.expect_op(")")?;
-                let then = self.block_or_single()?;
+                let then = self.block_or_single::<B>()?;
                 let otherwise = if self.eat_kw(Keyword::Else) {
                     if matches!(self.peek(), Some(Tok::Kw(Keyword::If))) {
-                        vec![self.statement()?]
+                        std::iter::once(self.statement::<B>()?).collect()
                     } else {
-                        self.block_or_single()?
+                        self.block_or_single::<B>()?
                     }
                 } else {
-                    Vec::new()
+                    B::List::default()
                 };
-                Ok(Stmt::If {
-                    cond,
-                    then,
-                    otherwise,
-                })
+                Ok(B::if_else(cond, then, otherwise))
             }
             Some(Tok::Kw(Keyword::While)) => {
                 self.bump();
                 self.expect_op("(")?;
-                let cond = self.expression()?;
+                let cond = self.expression::<B>()?;
                 self.expect_op(")")?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::While { cond, body })
+                let body = self.block_or_single::<B>()?;
+                Ok(B::while_loop(cond, body))
             }
             Some(Tok::Kw(Keyword::For)) => {
                 self.bump();
@@ -223,103 +584,97 @@ impl Parser {
                 let init = if self.eat_op(";") {
                     None
                 } else if matches!(self.peek(), Some(Tok::Kw(Keyword::Var))) {
-                    Some(Box::new(self.statement()?)) // consumes its ';'
+                    Some(self.statement::<B>()?) // consumes its ';'
                 } else {
-                    let e = self.expression()?;
+                    let e = self.expression::<B>()?;
                     self.expect_op(";")?;
-                    Some(Box::new(Stmt::Expr(e)))
+                    Some(B::expr(e))
                 };
                 let cond = if self.eat_op(";") {
                     None
                 } else {
-                    let c = self.expression()?;
+                    let c = self.expression::<B>()?;
                     self.expect_op(";")?;
                     Some(c)
                 };
                 let update = if matches!(self.peek(), Some(Tok::Op(")"))) {
                     None
                 } else {
-                    Some(self.expression()?)
+                    Some(self.expression::<B>()?)
                 };
                 self.expect_op(")")?;
-                let body = self.block_or_single()?;
-                Ok(Stmt::For {
-                    init,
-                    cond,
-                    update,
-                    body,
-                })
+                let body = self.block_or_single::<B>()?;
+                Ok(B::for_loop(init, cond, update, body))
             }
             Some(Tok::Kw(Keyword::Break)) => {
                 self.bump();
                 self.expect_op(";")?;
-                Ok(Stmt::Break)
+                Ok(B::jump(Stmt::Break))
             }
             Some(Tok::Kw(Keyword::Continue)) => {
                 self.bump();
                 self.expect_op(";")?;
-                Ok(Stmt::Continue)
+                Ok(B::jump(Stmt::Continue))
             }
-            Some(Tok::Op("{")) => Ok(Stmt::Block(self.block()?)),
+            Some(Tok::Op("{")) => Ok(B::block(self.block::<B>()?)),
             _ => {
-                let e = self.expression()?;
+                let e = self.expression::<B>()?;
                 self.expect_op(";")?;
-                Ok(Stmt::Expr(e))
+                Ok(B::expr(e))
             }
         }
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block<B: Build>(&mut self) -> Result<B::List<B::Stmt>, ParseError> {
         self.expect_op("{")?;
-        let mut stmts = Vec::new();
+        let mut stmts = B::List::default();
         while !self.eat_op("}") {
             if self.peek().is_none() {
                 return Err(self.err("unterminated block"));
             }
-            stmts.push(self.statement()?);
+            push(&mut stmts, self.statement::<B>()?);
         }
         Ok(stmts)
     }
 
-    fn block_or_single(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn block_or_single<B: Build>(&mut self) -> Result<B::List<B::Stmt>, ParseError> {
         if matches!(self.peek(), Some(Tok::Op("{"))) {
-            self.block()
+            self.block::<B>()
         } else {
-            Ok(vec![self.statement()?])
+            Ok(std::iter::once(self.statement::<B>()?).collect())
         }
     }
 
-    fn function_rest(&mut self, name: Option<Atom>) -> Result<FunctionDef, ParseError> {
+    fn function_rest<B: Build>(&mut self, name: Option<Atom>) -> Result<B::Func, ParseError> {
         self.expect_op("(")?;
-        let mut params = Vec::new();
+        let mut params = B::List::default();
         if !self.eat_op(")") {
             loop {
-                params.push(self.expect_ident()?);
+                push(&mut params, self.expect_ident()?);
                 if self.eat_op(")") {
                     break;
                 }
                 self.expect_op(",")?;
             }
         }
-        let body = self.block()?;
-        Ok(FunctionDef { name, params, body })
+        B::function(self, name, params)
     }
 
     // ---- expressions, precedence climbing ----
 
-    fn expression(&mut self) -> Result<Expr, ParseError> {
-        self.assignment()
+    fn expression<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
+        self.assignment::<B>()
     }
 
-    fn assignment(&mut self) -> Result<Expr, ParseError> {
+    fn assignment<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         self.enter()?;
-        let expr = self.assignment_inner();
+        let expr = self.assignment_inner::<B>();
         self.depth -= 1;
         expr
     }
 
-    fn assignment_inner(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.conditional()?;
+    fn assignment_inner<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
+        let lhs = self.conditional::<B>()?;
         let op = match self.peek() {
             Some(Tok::Op("=")) => None,
             Some(Tok::Op("+=")) => Some(BinOp::Add),
@@ -329,27 +684,18 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let place = match lhs {
-            Expr::Ident(name) => Place::Var(name),
-            Expr::Member(obj, prop) => Place::Member(obj, prop),
-            Expr::Index(obj, key) => Place::Index(obj, key),
-            other => return Err(self.err(format!("invalid assignment target {other:?}"))),
-        };
-        let value = Box::new(self.assignment()?);
-        Ok(Expr::Assign { place, op, value })
+        let place = self.place::<B>(lhs, "assignment")?;
+        let value = self.assignment::<B>()?;
+        Ok(B::assign(place, op, value))
     }
 
-    fn conditional(&mut self) -> Result<Expr, ParseError> {
-        let cond = self.binary(0)?;
+    fn conditional<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
+        let cond = self.binary::<B>(0)?;
         if self.eat_op("?") {
-            let then = self.assignment()?;
+            let then = self.assignment::<B>()?;
             self.expect_op(":")?;
-            let otherwise = self.assignment()?;
-            Ok(Expr::Cond {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                otherwise: Box::new(otherwise),
-            })
+            let otherwise = self.assignment::<B>()?;
+            Ok(B::cond(cond, then, otherwise))
         } else {
             Ok(cond)
         }
@@ -357,8 +703,8 @@ impl Parser {
 
     /// Precedence climbing: a run of binary operators that bind at least as
     /// tightly as `min`, left associative, over unary operands.
-    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
+    fn binary<B: Build>(&mut self, min: u8) -> Result<B::Expr, ParseError> {
+        let mut lhs = self.unary::<B>()?;
         loop {
             let Some(Tok::Op(op)) = self.peek() else {
                 return Ok(lhs);
@@ -368,153 +714,106 @@ impl Parser {
                 return Ok(lhs);
             };
             self.pos += 1;
-            let (lhs_box, rhs) = (Box::new(lhs), Box::new(self.binary(prec + 1)?));
-            lhs = match infix {
-                Infix::Logical(op) => Expr::Logical {
-                    op,
-                    lhs: lhs_box,
-                    rhs,
-                },
-                Infix::Binary(op) => Expr::Binary {
-                    op,
-                    lhs: lhs_box,
-                    rhs,
-                },
-            };
+            let rhs = self.binary::<B>(prec + 1)?;
+            lhs = B::infix(infix, lhs, rhs);
         }
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
+    fn unary<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         self.enter()?;
-        let expr = self.unary_inner();
+        let expr = self.unary_inner::<B>();
         self.depth -= 1;
         expr
     }
 
-    fn unary_inner(&mut self) -> Result<Expr, ParseError> {
+    fn unary_inner<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         if self.eat_op("-") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::Neg,
-                expr: Box::new(self.unary()?),
-            });
+            return Ok(B::unary(UnaryOp::Neg, self.unary::<B>()?));
         }
         if self.eat_op("!") {
-            return Ok(Expr::Unary {
-                op: UnaryOp::Not,
-                expr: Box::new(self.unary()?),
-            });
+            return Ok(B::unary(UnaryOp::Not, self.unary::<B>()?));
         }
         if self.eat_kw(Keyword::Typeof) {
-            return Ok(Expr::Unary {
-                op: UnaryOp::Typeof,
-                expr: Box::new(self.unary()?),
-            });
+            return Ok(B::unary(UnaryOp::Typeof, self.unary::<B>()?));
         }
         if self.eat_op("++") || {
             if matches!(self.peek(), Some(Tok::Op("--"))) {
                 self.bump();
-                let place = self.place_from_postfix()?;
-                return Ok(Expr::IncDec {
-                    place,
-                    is_inc: false,
-                    postfix: false,
-                });
+                let place = self.place_from_postfix::<B>()?;
+                return Ok(B::inc_dec(place, false, false));
             }
             false
         } {
-            let place = self.place_from_postfix()?;
-            return Ok(Expr::IncDec {
-                place,
-                is_inc: true,
-                postfix: false,
-            });
+            let place = self.place_from_postfix::<B>()?;
+            return Ok(B::inc_dec(place, true, false));
         }
-        self.postfix()
+        self.postfix::<B>()
     }
 
-    fn place_from_postfix(&mut self) -> Result<Place, ParseError> {
-        match self.postfix()? {
-            Expr::Ident(name) => Ok(Place::Var(name)),
-            Expr::Member(obj, prop) => Ok(Place::Member(obj, prop)),
-            Expr::Index(obj, key) => Ok(Place::Index(obj, key)),
-            other => Err(self.err(format!("invalid ++/-- target {other:?}"))),
-        }
+    fn place_from_postfix<B: Build>(&mut self) -> Result<B::Place, ParseError> {
+        let e = self.postfix::<B>()?;
+        self.place::<B>(e, "++/--")
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
-        let mut expr = self.call_member()?;
+    fn postfix<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
+        let mut expr = self.call_member::<B>()?;
         loop {
             if matches!(self.peek(), Some(Tok::Op("++")))
                 || matches!(self.peek(), Some(Tok::Op("--")))
             {
                 let is_inc = matches!(self.peek(), Some(Tok::Op("++")));
                 self.bump();
-                let place = match expr {
-                    Expr::Ident(name) => Place::Var(name),
-                    Expr::Member(obj, prop) => Place::Member(obj, prop),
-                    Expr::Index(obj, key) => Place::Index(obj, key),
-                    other => return Err(self.err(format!("invalid ++/-- target {other:?}"))),
-                };
-                expr = Expr::IncDec {
-                    place,
-                    is_inc,
-                    postfix: true,
-                };
+                let place = self.place::<B>(expr, "++/--")?;
+                expr = B::inc_dec(place, is_inc, true);
             } else {
                 return Ok(expr);
             }
         }
     }
 
-    fn call_member(&mut self) -> Result<Expr, ParseError> {
+    fn call_member<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         let mut expr = if self.eat_kw(Keyword::New) {
-            let callee = self.primary()?;
+            let callee = self.primary::<B>()?;
             // member chain before the argument list: new a.b.C(...)
-            let callee = self.member_chain_only(callee)?;
+            let callee = self.member_chain_only::<B>(callee)?;
             self.expect_op("(")?;
-            let args = self.arguments()?;
-            Expr::New {
-                callee: Box::new(callee),
-                args,
-            }
+            let args = self.arguments::<B>()?;
+            B::call(callee, args, true)
         } else {
-            self.primary()?
+            self.primary::<B>()?
         };
         loop {
             if self.eat_op(".") {
                 let prop = self.expect_ident()?;
-                expr = Expr::Member(Box::new(expr), prop);
+                expr = B::member(expr, prop);
             } else if self.eat_op("[") {
-                let key = self.expression()?;
+                let key = self.expression::<B>()?;
                 self.expect_op("]")?;
-                expr = Expr::Index(Box::new(expr), Box::new(key));
+                expr = B::index(expr, key);
             } else if self.eat_op("(") {
-                let args = self.arguments()?;
-                expr = Expr::Call {
-                    callee: Box::new(expr),
-                    args,
-                };
+                let args = self.arguments::<B>()?;
+                expr = B::call(expr, args, false);
             } else {
                 return Ok(expr);
             }
         }
     }
 
-    fn member_chain_only(&mut self, mut expr: Expr) -> Result<Expr, ParseError> {
+    fn member_chain_only<B: Build>(&mut self, mut expr: B::Expr) -> Result<B::Expr, ParseError> {
         while self.eat_op(".") {
             let prop = self.expect_ident()?;
-            expr = Expr::Member(Box::new(expr), prop);
+            expr = B::member(expr, prop);
         }
         Ok(expr)
     }
 
-    fn arguments(&mut self) -> Result<Vec<Expr>, ParseError> {
-        let mut args = Vec::new();
+    fn arguments<B: Build>(&mut self) -> Result<B::List<B::Expr>, ParseError> {
+        let mut args = B::List::default();
         if self.eat_op(")") {
             return Ok(args);
         }
         loop {
-            args.push(self.expression()?);
+            push(&mut args, self.expression::<B>()?);
             if self.eat_op(")") {
                 return Ok(args);
             }
@@ -522,32 +821,32 @@ impl Parser {
         }
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
+    fn primary<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         match self.bump() {
-            Some(Tok::Num(n)) => Ok(Expr::Num(n)),
-            Some(Tok::Str(s)) => Ok(Expr::Str(s)),
-            Some(Tok::Kw(Keyword::True)) => Ok(Expr::Bool(true)),
-            Some(Tok::Kw(Keyword::False)) => Ok(Expr::Bool(false)),
-            Some(Tok::Kw(Keyword::Null)) => Ok(Expr::Null),
-            Some(Tok::Kw(Keyword::Undefined)) => Ok(Expr::Undefined),
-            Some(Tok::Kw(Keyword::This)) => Ok(Expr::This),
-            Some(Tok::Ident(name)) => Ok(Expr::Ident(name)),
+            Some(Tok::Num(n)) => Ok(B::leaf(Expr::Num(n))),
+            Some(Tok::Str(s)) => Ok(B::leaf(Expr::Str(s))),
+            Some(Tok::Kw(Keyword::True)) => Ok(B::leaf(Expr::Bool(true))),
+            Some(Tok::Kw(Keyword::False)) => Ok(B::leaf(Expr::Bool(false))),
+            Some(Tok::Kw(Keyword::Null)) => Ok(B::leaf(Expr::Null)),
+            Some(Tok::Kw(Keyword::Undefined)) => Ok(B::leaf(Expr::Undefined)),
+            Some(Tok::Kw(Keyword::This)) => Ok(B::leaf(Expr::This)),
+            Some(Tok::Ident(name)) => Ok(B::leaf(Expr::Ident(name))),
             Some(Tok::Kw(Keyword::Function)) => {
                 let name = if let Some(Tok::Ident(_)) = self.peek() {
                     Some(self.expect_ident()?)
                 } else {
                     None
                 };
-                let def = self.function_rest(name)?;
-                Ok(Expr::Function(Arc::new(def)))
+                let def = self.function_rest::<B>(name)?;
+                Ok(B::function_expr(def))
             }
             Some(Tok::Op("(")) => {
-                let e = self.expression()?;
+                let e = self.expression::<B>()?;
                 self.expect_op(")")?;
                 Ok(e)
             }
             Some(Tok::Op("{")) => {
-                let mut props = Vec::new();
+                let mut props = B::List::default();
                 if !self.eat_op("}") {
                     loop {
                         let key = match self.bump() {
@@ -557,27 +856,27 @@ impl Parser {
                             other => return Err(self.err(format!("bad object key {other:?}"))),
                         };
                         self.expect_op(":")?;
-                        props.push((key, self.expression()?));
+                        push(&mut props, (key, self.expression::<B>()?));
                         if self.eat_op("}") {
                             break;
                         }
                         self.expect_op(",")?;
                     }
                 }
-                Ok(Expr::ObjectLit(props))
+                Ok(B::object(props))
             }
             Some(Tok::Op("[")) => {
-                let mut items = Vec::new();
+                let mut items = B::List::default();
                 if !self.eat_op("]") {
                     loop {
-                        items.push(self.expression()?);
+                        push(&mut items, self.expression::<B>()?);
                         if self.eat_op("]") {
                             break;
                         }
                         self.expect_op(",")?;
                     }
                 }
-                Ok(Expr::ArrayLit(items))
+                Ok(B::array(items))
             }
             other => Err(self.err(format!("unexpected token {other:?}"))),
         }
@@ -722,5 +1021,51 @@ mod tests {
     #[test]
     fn this_in_methods() {
         parse("var o = { m: function() { return this.x; } };").unwrap();
+    }
+
+    #[test]
+    fn function_bodies_parse_on_first_call() {
+        // Two bundles of helpers, as the web generator emits them: the
+        // script calls one bundle and one of its helpers.
+        let mut src = String::new();
+        for bundle in ["used", "unused"] {
+            src.push_str(&format!("function {bundle}() {{\n"));
+            for i in 0..8 {
+                src.push_str(&format!("  function helper{i}(x) {{ return x + {i}; }}\n"));
+            }
+            src.push_str("  return helper3;\n}\n");
+        }
+        src.push_str("var x = used()(1);");
+        let decls = |stmts: &[Stmt]| -> Vec<Arc<FunctionDef>> {
+            let decls = stmts.iter().filter_map(|s| match s {
+                Stmt::FunctionDecl(def) => Some(Arc::clone(def)),
+                _ => None,
+            });
+            decls.collect()
+        };
+        let runs: [fn(&Program) -> f64; 2] = [
+            |program| {
+                let mut interp = crate::Interpreter::new();
+                interp.run(program).unwrap();
+                interp.get_global("x").to_number()
+            },
+            |program| {
+                let mut vm = crate::Interpreter::new();
+                crate::run_chunk(&mut vm, &crate::compile(program).unwrap()).unwrap();
+                vm.get_global("x").to_number()
+            },
+        ];
+        for run in runs {
+            let program = parse(&src).unwrap();
+            let [used, unused] = &decls(&program.body)[..] else {
+                panic!("two bundles");
+            };
+            assert!(used.body.parsed().is_none() && unused.body.parsed().is_none());
+            assert_eq!(run(&program), 4.0);
+            assert!(unused.body.parsed().is_none(), "never called");
+            let helpers = decls(used.body.parsed().expect("called once"));
+            let parsed: Vec<bool> = helpers.iter().map(|h| h.body.parsed().is_some()).collect();
+            assert_eq!(parsed, (0..8).map(|i| i == 3).collect::<Vec<_>>());
+        }
     }
 }

@@ -91,13 +91,15 @@ pub enum Tok {
     Op(&'static str),
 }
 
-/// Token with line info.
+/// Token with its position in the source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpannedTok {
     /// The token.
     pub tok: Tok,
     /// 1-based source line.
     pub line: u32,
+    /// Byte offset of the token's first byte.
+    pub offset: u32,
 }
 
 /// Lexer error.
@@ -117,8 +119,21 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenize mini-JS source.
+/// Tokenize mini-JS source. A source longer than `u32::MAX` bytes is an
+/// error, since token offsets are `u32`.
 pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
+    lex_at(src, 1, 0)
+}
+
+/// Tokenize `src` as the part of a larger source that starts on line
+/// `first_line` at byte `base`: token lines and offsets count from there.
+pub(crate) fn lex_at(src: &str, first_line: u32, base: u32) -> Result<Vec<SpannedTok>, LexError> {
+    if u32::try_from(src.len()).map_or(true, |n| n.checked_add(base).is_none()) {
+        return Err(LexError {
+            message: "source longer than u32::MAX bytes".into(),
+            line: first_line,
+        });
+    }
     let bytes = src.as_bytes();
     // Past the end reads as NUL, which no dispatch arm below matches.
     let at = |k: usize| bytes.get(k).copied().unwrap_or(0);
@@ -126,7 +141,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
     let mut out = Vec::with_capacity(src.len() / 2);
     let mut atoms: HashMap<&str, Atom> = HashMap::new();
     let mut i = 0;
-    let mut line = 1u32;
+    let mut line = first_line;
     while i < bytes.len() {
         let start = i;
         let tok = match bytes[i] {
@@ -260,7 +275,8 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, LexError> {
                 Tok::Op(op)
             }
         };
-        out.push(SpannedTok { tok, line });
+        let offset = base + start as u32;
+        out.push(SpannedTok { tok, line, offset });
     }
     Ok(out)
 }
@@ -349,10 +365,10 @@ mod tests {
     #[test]
     fn lead_byte_edge_cases() {
         let id = |s| Tok::Ident(Atom::intern(s));
-        let ok = |toks: Vec<(Tok, u32)>| {
+        let ok = |toks: Vec<(Tok, u32, u32)>| {
             Ok(toks
                 .into_iter()
-                .map(|(tok, line)| SpannedTok { tok, line })
+                .map(|(tok, line, offset)| SpannedTok { tok, line, offset })
                 .collect())
         };
         let err = |message: &str, line| {
@@ -364,35 +380,51 @@ mod tests {
         let cases: Vec<(&str, Result<Vec<SpannedTok>, LexError>)> = vec![
             (
                 "a/b",
-                ok(vec![(id("a"), 1), (Tok::Op("/"), 1), (id("b"), 1)]),
+                ok(vec![(id("a"), 1, 0), (Tok::Op("/"), 1, 1), (id("b"), 1, 2)]),
             ),
             (
                 "a /= 2",
-                ok(vec![(id("a"), 1), (Tok::Op("/="), 1), (Tok::Num(2.0), 1)]),
+                ok(vec![
+                    (id("a"), 1, 0),
+                    (Tok::Op("/="), 1, 2),
+                    (Tok::Num(2.0), 1, 5),
+                ]),
             ),
-            ("a // c\nb", ok(vec![(id("a"), 1), (id("b"), 2)])),
-            ("/**/x", ok(vec![(id("x"), 1)])),
+            ("a // c\nb", ok(vec![(id("a"), 1, 0), (id("b"), 2, 7)])),
+            ("/**/x", ok(vec![(id("x"), 1, 4)])),
             ("/*/", err("unterminated comment", 1)),
-            ("x ===", ok(vec![(id("x"), 1), (Tok::Op("==="), 1)])),
-            ("x !==", ok(vec![(id("x"), 1), (Tok::Op("!=="), 1)])),
+            ("x ===", ok(vec![(id("x"), 1, 0), (Tok::Op("==="), 1, 2)])),
+            ("x !==", ok(vec![(id("x"), 1, 0), (Tok::Op("!=="), 1, 2)])),
             (
                 "a<=b>=c",
                 ok(vec![
-                    (id("a"), 1),
-                    (Tok::Op("<="), 1),
-                    (id("b"), 1),
-                    (Tok::Op(">="), 1),
-                    (id("c"), 1),
+                    (id("a"), 1, 0),
+                    (Tok::Op("<="), 1, 1),
+                    (id("b"), 1, 3),
+                    (Tok::Op(">="), 1, 4),
+                    (id("c"), 1, 6),
                 ]),
             ),
-            (".5", ok(vec![(Tok::Op("."), 1), (Tok::Num(5.0), 1)])),
+            (".5", ok(vec![(Tok::Op("."), 1, 0), (Tok::Num(5.0), 1, 1)])),
             ("1.2.3", err(r#"bad number "1.2.3""#, 1)),
-            ("a\r\n\x0cb", ok(vec![(id("a"), 1), (id("b"), 2)])),
-            (r"'a\qb'", ok(vec![(Tok::Str("aqb".into()), 1)])),
+            ("a\r\n\x0cb", ok(vec![(id("a"), 1, 0), (id("b"), 2, 4)])),
+            (r"'a\qb'", ok(vec![(Tok::Str("aqb".into()), 1, 0)])),
         ];
         for (src, want) in cases {
             assert_eq!(lex(src), want, "{src:?}");
         }
+        // A slice of a larger source counts lines and offsets from where
+        // the slice starts.
+        assert_eq!(
+            lex_at("{ x\n y }", 5, 10),
+            ok(vec![
+                (Tok::Op("{"), 5, 10),
+                (id("x"), 5, 12),
+                (id("y"), 6, 15),
+                (Tok::Op("}"), 6, 17),
+            ])
+        );
+        assert_eq!(lex_at("{\n @", 5, 10), err("unexpected character '@'", 6));
     }
 
     #[test]

@@ -160,7 +160,7 @@ proptest! {
 
     #[test]
     fn script_parser_never_panics(input in "[a-z0-9 +\\-*/(){};=.,'\"<>!&|]{0,120}") {
-        let _ = bfu_script::parser::parse(&input);
+        let _ = format!("{:?}", bfu_script::parser::parse(&input));
     }
 
     #[test]
@@ -227,7 +227,7 @@ proptest! {
     #[test]
     fn parser_total_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
         let src = String::from_utf8_lossy(&bytes);
-        let _ = bfu_script::parser::parse(&src);
+        let _ = format!("{:?}", bfu_script::parser::parse(&src));
     }
 
     #[test]
