@@ -97,14 +97,15 @@ fn bench_call_loop(c: &mut Criterion) {
 }
 
 /// The pipeline costs the chunk cache amortizes: parse alone (what the AST
-/// cache saves the tree-walk engine), parse + compile (the eager cost the
-/// VM pays per unique source: top-level lowering only — inner bodies are
-/// lowered lazily on first call), and parse + compile + force-every-body
-/// (what eager whole-program lowering would have cost on a library bundle
-/// that is parsed in full but never executed).
+/// cache saves the tree-walk engine: lexing, a syntax check of every
+/// function body and the top-level tree), parse + compile (the eager cost
+/// the VM pays per unique source: top-level lowering only — inner bodies
+/// are parsed and lowered lazily on first call), and parse + compile +
+/// force-every-body (what building and lowering every body would cost on
+/// a library bundle that never runs).
 fn bench_pipeline(c: &mut Criterion) {
-    // A library-bundle-shaped source: many small functions, mostly parsed,
-    // never executed — the payload `script_weight` models.
+    // A library-bundle-shaped source: many small functions, never
+    // executed — the payload `script_weight` models.
     let mut src = String::new();
     for i in 0..200 {
         src.push_str(&format!(

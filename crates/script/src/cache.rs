@@ -29,7 +29,10 @@
 //! - **Determinism.** Parsing consumes no interpreter fuel (budgets are
 //!   installed per execution phase, after parsing), so replaying a cached
 //!   AST burns exactly the fuel a fresh parse-then-run would. Cached ASTs
-//!   are immutable `Arc<Program>`s shared by all threads.
+//!   are `Arc<Program>`s shared by all threads. Their function bodies are
+//!   spans of the entry's own source allocation, parsed on first call
+//!   ([`crate::ast::Body`]); that parse burns no fuel either and is not a
+//!   cache event, so misses still equal unique sources.
 
 use crate::ast::Program;
 use crate::compile::{Chunk, CompileError};

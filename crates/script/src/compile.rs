@@ -211,17 +211,18 @@ pub struct FuncChunk {
 /// An inner function carried by a chunk: the shared parsed definition plus
 /// a body that is lowered to bytecode **on first call** and memoized.
 ///
-/// Real pages ship large library bundles that are parsed in full but mostly
-/// never executed; production engines respond with exactly this split —
-/// eager top-level compilation, lazy inner-function compilation, and a code
-/// cache that persists whatever did get compiled. Allocating a closure (or
-/// hoisting a declaration) only clones the `Arc`; the body is compiled the
-/// first time the closure is *invoked*, by whichever thread gets there
-/// first, and every later call — on any page sharing the chunk through the
-/// content-addressed cache — reuses the lowered body.
+/// Real pages ship large library bundles that are mostly never executed;
+/// production engines respond with exactly this split — eager top-level
+/// compilation, lazy inner-function compilation, and a code cache that
+/// persists whatever did get compiled. Allocating a closure (or hoisting a
+/// declaration) only clones the `Arc`; the body is compiled the first time
+/// the closure is *invoked*, by whichever thread gets there first, and every
+/// later call — on any page sharing the chunk through the content-addressed
+/// cache — reuses the lowered body. Lowering reads the definition's
+/// [`Body`](crate::ast::Body), so the first call also builds its tree.
 ///
-/// Laziness is semantically invisible: compilation is pure and burns no
-/// fuel, so *when* it happens cannot change what a script observes.
+/// Laziness is semantically invisible: parsing and compilation are pure and
+/// burn no fuel, so *when* they happen cannot change what a script observes.
 pub struct LazyFunc {
     /// The parsed definition (shared with the AST the chunk came from).
     def: Arc<FunctionDef>,

@@ -4,11 +4,11 @@
 //! subset `bfu-webgen` emits and a bit more (so hand-written page scripts in
 //! tests and examples are pleasant to write).
 //!
-//! The grammar is written once, generic over a [`Build`]er: [`Tree`] makes
-//! syntax-tree nodes and [`Check`] makes nothing. The tree builder reads
-//! each function body with the checker, so a syntax error anywhere still
-//! fails the parse, and keeps the body as an [`ast::Body`](Body) whose
-//! statements it builds on first use ([`parse_body`]).
+//! The grammar is written once, generic over a builder: the tree builder
+//! makes syntax-tree nodes and the checker makes nothing. The tree builder
+//! reads each function body with the checker, so a syntax error anywhere
+//! still fails the parse, and keeps the body as an [`ast::Body`](Body)
+//! whose statements are built on its first use.
 
 use crate::ast::*;
 use crate::token::{lex, lex_at, Keyword, LexError, SpannedTok, Tok};
@@ -34,12 +34,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            line: e.line,
-        }
+fn lex_error(e: LexError) -> ParseError {
+    ParseError {
+        message: e.message,
+        line: e.line,
     }
 }
 
@@ -72,11 +70,11 @@ fn parse_source(text: &str, shared: Option<&Arc<[u8]>>) -> Result<Program, Parse
         }
         Ok(Program { body })
     };
-    program(lex(text)?, false).or_else(|_| {
+    program(lex(text).map_err(lex_error)?, false).or_else(|_| {
         // The checker has no tree to print in its errors, so a failed
         // parse runs again with every body built, and reports the tree
         // builder's own message and line. Only malformed sources pay.
-        program(lex(text)?, true)
+        program(lex(text).map_err(lex_error)?, true)
     })
 }
 

@@ -65,6 +65,12 @@ echo "==> cargo test -q (workspace)"
 #   a 200-site hostile web.
 cargo test --workspace -q
 
+echo "==> cargo test --release -p bfu-script"
+# The lexer adds u32 token offsets and the deferred-body parser indexes the
+# shared source by them; only debug builds check that arithmetic for
+# overflow, so the script crate's tests run optimized too.
+cargo test -q --release -p bfu-script
+
 echo "==> crawl_bench smoke (engine x cache grid fingerprints + live caches)"
 # Small scale: correctness gate, not a performance measurement. crawl_bench
 # itself errors if any engine x cache cell diverges from the warmup
