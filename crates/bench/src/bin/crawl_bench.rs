@@ -17,7 +17,7 @@
 //! baseline (tree-walk, scratch).
 //!
 //! The benchmark web is generated with a non-zero `script_weight`: every
-//! script carries an inert library bundle (parsed in full, never executed),
+//! script carries an inert library bundle (syntax-checked, never executed),
 //! the payload shape real pages ship and the reason production engines have
 //! compilation caches at all. `--script-weight 0` measures the generator's
 //! minimal scripts instead, where parse time is a much smaller slice.

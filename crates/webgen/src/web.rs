@@ -38,9 +38,9 @@ pub struct WebConfig {
     pub seed: u64,
     /// Number of inert library functions prepended to every non-empty
     /// generated script, modelling the bundled library code real pages ship
-    /// (parsed in full, mostly never executed). The preamble is wrapped in a
-    /// single never-called function, so it costs the engine parsing only —
-    /// feature measurements are unaffected. `0` (the default) emits scripts
+    /// (mostly never executed). The preamble is wrapped in a single
+    /// never-called function, so it costs the engine lexing and a syntax
+    /// check only — feature measurements are unaffected. `0` (the default) emits scripts
     /// byte-identical to a web generated before this knob existed; the crawl
     /// benchmark raises it to give scripts production-like parse weight.
     pub script_weight: u32,
