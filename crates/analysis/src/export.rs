@@ -8,7 +8,7 @@
 use crate::blocking::{Fig4Point, Fig7Point};
 use crate::tables::Table2Row;
 use crate::traffic::Fig5Point;
-use bfu_crawler::{BrowserProfile, Dataset, Provenance};
+use bfu_crawler::{Dataset, Provenance};
 use bfu_webidl::FeatureRegistry;
 use std::fmt::Write as _;
 
@@ -327,20 +327,6 @@ pub fn provenance_json_with_extra(p: &Provenance, extra: &[(&str, String)]) -> S
     out
 }
 
-/// Which profile columns a dataset carries (header helper for consumers).
-pub fn profile_columns(dataset: &Dataset) -> Vec<&'static str> {
-    dataset
-        .profiles
-        .iter()
-        .map(|p| match p {
-            BrowserProfile::Default => "default",
-            BrowserProfile::Blocking => "blocking",
-            BrowserProfile::AdblockOnly => "adblock-only",
-            BrowserProfile::GhosteryOnly => "ghostery-only",
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,12 +377,6 @@ mod tests {
         assert_eq!(field("plain"), "plain");
         assert_eq!(field("a,b"), "\"a,b\"");
         assert_eq!(field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn profile_columns_match() {
-        let (dataset, _) = tiny_dataset();
-        assert_eq!(profile_columns(&dataset).len(), dataset.profiles.len());
     }
 
     #[test]

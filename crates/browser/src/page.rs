@@ -25,12 +25,9 @@ use crate::cache::{extract_frame_scripts, CompileCache, FrameScript};
 use crate::instrument::{Instrumentation, PropIndex};
 use crate::log::FeatureLog;
 use bfu_dom::{html, Document, NodeId};
-use bfu_net::{HttpRequest, NetError, ResourceType, SimNet, Url};
-use bfu_script::cache::{CacheOutcome, ChunkError};
+use bfu_net::{HttpRequest, HttpResponse, NetError, ResourceType, SimNet, Url};
 use bfu_script::interp::Interpreter;
-use bfu_script::{
-    compile, run_chunk, Engine, ResourceBudget, RuntimeError, ScriptError, Source, Value,
-};
+use bfu_script::{CacheOutcome, Engine, ResourceBudget, RuntimeError, Script, Source, Value};
 use bfu_util::{Instant, VirtualClock};
 use bfu_webidl::FeatureRegistry;
 use std::cell::RefCell;
@@ -340,61 +337,38 @@ impl Browser {
         // 5. Subresources in document order.
         let resources = Self::collect_resources(&api);
         for res in resources.into_iter().take(self.config.max_subresources) {
-            match res {
+            let (target, rtype) = match res {
                 Resource::InlineScript(src) => {
-                    host.borrow_mut().now = clock.now();
-                    run_page_script(
+                    self.run_script(&mut interp, &host, clock, src.as_str().into(), &mut stats);
+                    continue;
+                }
+                Resource::External(target, rtype) => (target, rtype),
+            };
+            let Some((res_url, resp)) =
+                fetch_subresource(net, url, &target, rtype, policy, clock, &mut stats)
+            else {
+                continue;
+            };
+            match rtype {
+                ResourceType::Script => {
+                    let src = resp.body.text();
+                    let src = Source::decoded(&src, resp.body.shared());
+                    self.run_script(&mut interp, &host, clock, src, &mut stats);
+                }
+                ResourceType::SubDocument => {
+                    let frame_body = resp.body.text();
+                    self.load_subdocument(
+                        net,
+                        &res_url,
+                        &frame_body,
+                        policy,
+                        clock,
                         &mut interp,
-                        src.as_str().into(),
-                        &self.config,
+                        &host,
                         &mut stats,
-                        self.compile_cache.as_deref(),
                     );
                 }
-                Resource::External(target, rtype) => {
-                    let Ok(res_url) = url.join(&target) else {
-                        continue;
-                    };
-                    stats.requests_attempted += 1;
-                    let req = HttpRequest::get(res_url.clone(), rtype).with_initiator(url.clone());
-                    if policy.decide(&req).is_some() {
-                        stats.requests_blocked += 1;
-                        continue;
-                    }
-                    match net.fetch(&req, clock) {
-                        Err(_) => stats.requests_failed += 1,
-                        Ok(resp) if !resp.status.is_success() => {
-                            stats.requests_failed += 1;
-                        }
-                        Ok(resp) => match rtype {
-                            ResourceType::Script => {
-                                let src = resp.body.text();
-                                host.borrow_mut().now = clock.now();
-                                run_page_script(
-                                    &mut interp,
-                                    Source::decoded(&src, resp.body.shared()),
-                                    &self.config,
-                                    &mut stats,
-                                    self.compile_cache.as_deref(),
-                                );
-                            }
-                            ResourceType::SubDocument => {
-                                let frame_body = resp.body.text();
-                                self.load_subdocument(
-                                    net,
-                                    &res_url,
-                                    &frame_body,
-                                    policy,
-                                    clock,
-                                    &mut interp,
-                                    &host,
-                                    &mut stats,
-                                );
-                            }
-                            _ => {}
-                        },
-                    }
-                }
+                _ => {}
             }
         }
 
@@ -454,7 +428,7 @@ impl Browser {
         policy: &dyn RequestPolicy,
         clock: &mut VirtualClock,
         interp: &mut Interpreter,
-        host: &Rc<RefCell<HostEnv>>,
+        host: &RefCell<HostEnv>,
         stats: &mut LoadStats,
     ) {
         // Ad frames are served from a small template pool, so identical
@@ -470,42 +444,35 @@ impl Browser {
         for s in scripts.iter() {
             match s {
                 FrameScript::Inline(src) => {
-                    run_page_script(
-                        interp,
-                        src.as_str().into(),
-                        &self.config,
-                        stats,
-                        self.compile_cache.as_deref(),
-                    );
+                    self.run_script(interp, host, clock, src.as_str().into(), stats);
                 }
                 FrameScript::External(target) => {
-                    let Ok(u) = frame_url.join(target) else {
-                        continue;
-                    };
-                    stats.requests_attempted += 1;
-                    let req =
-                        HttpRequest::get(u, ResourceType::Script).with_initiator(frame_url.clone());
-                    if policy.decide(&req).is_some() {
-                        stats.requests_blocked += 1;
-                        continue;
-                    }
-                    match net.fetch(&req, clock) {
-                        Ok(r) if r.status.is_success() => {
-                            let src = r.body.text();
-                            host.borrow_mut().now = clock.now();
-                            run_page_script(
-                                interp,
-                                Source::decoded(&src, r.body.shared()),
-                                &self.config,
-                                stats,
-                                self.compile_cache.as_deref(),
-                            );
-                        }
-                        _ => stats.requests_failed += 1,
+                    let rtype = ResourceType::Script;
+                    if let Some((_, resp)) =
+                        fetch_subresource(net, frame_url, target, rtype, policy, clock, stats)
+                    {
+                        let src = resp.body.text();
+                        let src = Source::decoded(&src, resp.body.shared());
+                        self.run_script(interp, host, clock, src, stats);
                     }
                 }
             }
         }
+    }
+
+    /// Run one page script at the current virtual time: every script a page
+    /// or its frames carry goes through here.
+    fn run_script(
+        &self,
+        interp: &mut Interpreter,
+        host: &RefCell<HostEnv>,
+        clock: &VirtualClock,
+        src: Source<'_>,
+        stats: &mut LoadStats,
+    ) {
+        host.borrow_mut().now = clock.now();
+        let cache = self.compile_cache.as_deref();
+        run_page_script(interp, src, &self.config, stats, cache);
     }
 
     fn bind_document_tree_globals(interp: &mut Interpreter, api: &ApiSurface) {
@@ -590,6 +557,34 @@ fn classify_runtime(stats: &mut LoadStats, e: &RuntimeError) {
     }
 }
 
+/// Fetch `target`, resolved against `base`, as a subresource `base` asked
+/// for: one attempted request, tallied as blocked or failed when it does not
+/// load. Returns the resolved URL and the successful response.
+fn fetch_subresource(
+    net: &mut SimNet,
+    base: &Url,
+    target: &str,
+    rtype: ResourceType,
+    policy: &dyn RequestPolicy,
+    clock: &mut VirtualClock,
+    stats: &mut LoadStats,
+) -> Option<(Url, HttpResponse)> {
+    let url = base.join(target).ok()?;
+    stats.requests_attempted += 1;
+    let req = HttpRequest::get(url, rtype).with_initiator(base.clone());
+    if policy.decide(&req).is_some() {
+        stats.requests_blocked += 1;
+        return None;
+    }
+    match net.fetch(&req, clock) {
+        Ok(resp) if resp.status.is_success() => Some((req.url, resp)),
+        _ => {
+            stats.requests_failed += 1;
+            None
+        }
+    }
+}
+
 /// Execute one page script, classifying any failure into the stats counters
 /// (parse failures and each budget axis get their own tallies so the
 /// crawler can attribute a site loss to the right fault class).
@@ -608,111 +603,30 @@ fn run_page_script(
         stats.script_oversize_errors += 1;
         return;
     }
-    let Some(cache) = cache else {
-        // Scratch path: no cache installed, compile (or parse) per script.
-        match config.engine {
-            Engine::TreeWalk => {
-                interp.set_budget(&config.run_budget());
-                if let Err(e) = interp.run_source(src.text()) {
-                    stats.script_errors += 1;
-                    match e {
-                        ScriptError::Parse(_) => stats.script_parse_errors += 1,
-                        ScriptError::Runtime(e) => classify_runtime(stats, &e),
-                    }
-                }
+    // Parsing and compiling burn no interpreter fuel (budgets are installed
+    // per execution phase), so a cached tree, chunk or parse error is
+    // observably identical to a fresh one, under either engine.
+    let prepared = match cache {
+        Some(cache) => {
+            let (prepared, outcome) = cache.scripts().prepare_counted(src, config.engine);
+            match outcome {
+                CacheOutcome::Hit => stats.script_cache_hits += 1,
+                CacheOutcome::Miss => stats.script_cache_misses += 1,
+                CacheOutcome::NegativeHit => stats.script_cache_negative_hits += 1,
             }
-            Engine::Vm => {
-                // Parse and compile burn no fuel (budgets are per execution
-                // phase), so the VM path is observably identical to the
-                // tree-walk path for every measurement.
-                let program = match bfu_script::parser::parse(src.text()) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        stats.script_errors += 1;
-                        stats.script_parse_errors += 1;
-                        return;
-                    }
-                };
-                interp.set_budget(&config.run_budget());
-                let run = match compile(&program) {
-                    Ok(chunk) => run_chunk(interp, &chunk),
-                    // Lowering is total over parser-accepted programs; the
-                    // fallback exists only so a compiler limit (e.g. chunk
-                    // overflow) degrades to the oracle, never to a loss.
-                    Err(_) => interp.run(&program),
-                };
-                if let Err(e) = run {
-                    stats.script_errors += 1;
-                    classify_runtime(stats, &e);
-                }
-            }
+            prepared
         }
+        None => Script::prepare(src.text(), config.engine),
+    };
+    let Ok(script) = prepared else {
+        stats.script_errors += 1;
+        stats.script_parse_errors += 1;
         return;
     };
-    // Cached path. Parsing and compilation consume no interpreter fuel
-    // (budgets are installed per execution phase), so replaying a cached
-    // AST or chunk — or a cached parse error — is observably identical to
-    // the scratch path.
-    match config.engine {
-        Engine::TreeWalk => {
-            let (result, outcome) = cache.scripts().lookup_or_parse_counted(src);
-            match outcome {
-                CacheOutcome::Hit => stats.script_cache_hits += 1,
-                CacheOutcome::Miss => stats.script_cache_misses += 1,
-                CacheOutcome::NegativeHit => stats.script_cache_negative_hits += 1,
-            }
-            match result {
-                Ok(program) => {
-                    interp.set_budget(&config.run_budget());
-                    if let Err(e) = interp.run(&program) {
-                        stats.script_errors += 1;
-                        classify_runtime(stats, &e);
-                    }
-                }
-                Err(_) => {
-                    stats.script_errors += 1;
-                    stats.script_parse_errors += 1;
-                }
-            }
-        }
-        Engine::Vm => {
-            let (result, outcome) = cache.scripts().lookup_or_compile_counted(src);
-            match outcome {
-                CacheOutcome::Hit => stats.script_cache_hits += 1,
-                CacheOutcome::Miss => stats.script_cache_misses += 1,
-                CacheOutcome::NegativeHit => stats.script_cache_negative_hits += 1,
-            }
-            match result {
-                Ok(chunk) => {
-                    interp.set_budget(&config.run_budget());
-                    if let Err(e) = run_chunk(interp, &chunk) {
-                        stats.script_errors += 1;
-                        classify_runtime(stats, &e);
-                    }
-                }
-                Err(ChunkError::Parse(_)) => {
-                    stats.script_errors += 1;
-                    stats.script_parse_errors += 1;
-                }
-                Err(ChunkError::Compile(_)) => {
-                    // Compiler-limit fallback: run the cached AST through the
-                    // oracle so the page still executes identically.
-                    match cache.scripts().lookup_or_parse(src) {
-                        Ok(program) => {
-                            interp.set_budget(&config.run_budget());
-                            if let Err(e) = interp.run(&program) {
-                                stats.script_errors += 1;
-                                classify_runtime(stats, &e);
-                            }
-                        }
-                        Err(_) => {
-                            stats.script_errors += 1;
-                            stats.script_parse_errors += 1;
-                        }
-                    }
-                }
-            }
-        }
+    interp.set_budget(&config.run_budget());
+    if let Err(e) = script.run(interp) {
+        stats.script_errors += 1;
+        classify_runtime(stats, &e);
     }
 }
 

@@ -210,6 +210,26 @@ fn clock_advances_during_load() {
     assert!(clock.now() > Instant::ZERO);
 }
 
+#[test]
+fn inline_frame_scripts_run_at_the_current_virtual_time() {
+    let mut net = SimNet::new(SimRng::new(11));
+    net.register(
+        "frames.test",
+        Arc::new(|req: &HttpRequest| match req.url.path() {
+            "/frame" => HttpResponse::html("<script>var t = performance.now();</script>"),
+            _ => HttpResponse::html(r#"<iframe src="/frame"></iframe>"#),
+        }),
+    );
+    let browser = Browser::new(Rc::new(FeatureRegistry::build()));
+    let mut clock = VirtualClock::new();
+    let url = Url::parse("http://frames.test/").unwrap();
+    let page = browser.load(&mut net, &url, &AllowAll, &mut clock).unwrap();
+    // The frame's script runs after the frame's own fetch, so it sees the
+    // time that fetch ended at, not the time the page's document arrived.
+    let t = page.interp.get_global("t").to_number();
+    assert_eq!(t, clock.now().millis() as f64);
+}
+
 // ---- realm isolation: every page starts from a clean copy of one realm ----
 
 /// Page code that tampers with everything a shared realm could leak: a
@@ -498,7 +518,10 @@ fn load_booting_from_scratch(
             ResourceType::SubDocument => {
                 for script in extract_frame_scripts(&body) {
                     match script {
-                        FrameScript::Inline(src) => run(&mut interp, &src, &mut stats),
+                        FrameScript::Inline(src) => {
+                            host.borrow_mut().now = clock.now();
+                            run(&mut interp, &src, &mut stats);
+                        }
                         FrameScript::External(target) => {
                             let Ok(u) = res_url.join(&target) else {
                                 continue;

@@ -213,24 +213,26 @@ impl SiteMeasurement {
 pub struct CacheTotals {
     /// Whether the survey ran with a shared compilation cache at all.
     pub enabled: bool,
-    /// Script probes that reused a cached artifact (AST or bytecode chunk,
-    /// whichever family the engine consulted).
+    /// Script probes, by either engine, that reused a cached tree or chunk.
     pub script_hits: u64,
-    /// Script probes that parsed (and, under the VM, compiled) fresh source.
+    /// Script probes that did their engine's work afresh: parsed the source
+    /// (tree-walk) or compiled it (VM).
     pub script_misses: u64,
-    /// Script probes that replayed a cached parse or compile error.
+    /// Script probes that replayed a cached parse error, or for the VM a
+    /// source with no chunk.
     pub script_negative_hits: u64,
-    /// Distinct script sources seen (== successful + failed parses).
+    /// Distinct script sources seen (== the cache's entries, one per
+    /// source).
     pub unique_scripts: u64,
     /// Distinct iframe bodies whose script lists were extracted.
     pub unique_frames: u64,
-    /// Bytecode-chunk probes that reused a compiled chunk.
+    /// VM probes that reused a compiled chunk.
     pub chunk_hits: u64,
-    /// Bytecode-chunk probes that compiled fresh source.
+    /// VM probes that compiled a source (the first VM probe of it).
     pub chunk_misses: u64,
-    /// Bytecode-chunk probes that replayed a cached parse/compile error.
+    /// VM probes of a source with no chunk (a parse or compile error).
     pub chunk_negative_hits: u64,
-    /// Distinct sources lowered to bytecode (== chunk compiles attempted).
+    /// Distinct sources a VM probe has reached (== compiles attempted).
     pub unique_chunks: u64,
 }
 

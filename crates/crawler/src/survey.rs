@@ -278,9 +278,8 @@ impl Survey {
         let cache_totals = match &cache {
             Some(cache) => {
                 let scripts = cache.script_stats();
-                // `script_*` are combined totals across both cache families
-                // (parsed ASTs + compiled chunks): whichever family the
-                // configured engine consulted, these count its probes.
+                // `script_*` sum both engines' probe counters, so they count
+                // the configured engine's probes, whichever it is.
                 CacheTotals {
                     enabled: true,
                     script_hits: scripts.hits + scripts.chunk_hits,
@@ -342,7 +341,6 @@ impl Survey {
             for round in 0..self.config.rounds_per_profile {
                 let mut rng = base_rng.fork(profile.label()).fork_idx(u64::from(round));
                 per_round.push(visit_site_round_supervised(
-                    &self.web,
                     browser,
                     net,
                     policy,

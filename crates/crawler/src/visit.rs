@@ -80,7 +80,6 @@ pub fn policy_for(web: &SyntheticWeb, profile: BrowserProfile) -> PolicyAdapter 
 ///   so stalls can't hang a worker — the round keeps whatever it measured.
 #[allow(clippy::too_many_arguments)]
 pub fn visit_site_round(
-    web: &SyntheticWeb,
     browser: &Browser,
     net: &mut SimNet,
     policy: &PolicyAdapter,
@@ -92,7 +91,6 @@ pub fn visit_site_round(
 ) -> RoundMeasurement {
     let mut breaker = HostBreaker::new(config.breaker);
     visit_site_round_supervised(
-        web,
         browser,
         net,
         policy,
@@ -124,7 +122,6 @@ fn round_slot_ms(config: &CrawlConfig) -> u64 {
 /// rounds' own virtual time slots — expires and a half-open probe runs.
 #[allow(clippy::too_many_arguments)]
 pub fn visit_site_round_supervised(
-    _web: &SyntheticWeb,
     browser: &Browser,
     net: &mut SimNet,
     policy: &PolicyAdapter,
@@ -290,7 +287,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(10);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -315,7 +311,6 @@ mod tests {
         let mut rng_a = SimRng::new(10);
         let mut rng_b = SimRng::new(10);
         let default = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy_for(&web, BrowserProfile::Default),
@@ -326,7 +321,6 @@ mod tests {
             &mut rng_a,
         );
         let blocking = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy_for(&web, BrowserProfile::Blocking),
@@ -356,7 +350,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(3);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -382,7 +375,6 @@ mod tests {
             let policy = policy_for(&web, BrowserProfile::Default);
             let mut rng = SimRng::new(42);
             let m = visit_site_round(
-                &web,
                 &browser,
                 &mut net,
                 &policy,
@@ -412,7 +404,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(10);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -449,7 +440,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(10);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -480,7 +470,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(10);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -513,7 +502,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(4);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -545,7 +533,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(4);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,
@@ -570,7 +557,6 @@ mod tests {
         let policy = policy_for(&web, BrowserProfile::Default);
         let mut rng = SimRng::new(7);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,

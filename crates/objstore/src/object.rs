@@ -1,7 +1,5 @@
 //! The narrow object contract every object store implements.
 
-use bfu_store::cas_conflict_error;
-use bfu_util::fnv64;
 use std::fmt;
 use std::io;
 
@@ -47,43 +45,17 @@ pub trait ObjectStore: fmt::Debug + Send + Sync {
     /// Human-readable location for error messages and provenance.
     fn describe(&self) -> String;
 
-    /// The current generation of `name` (never 0);
-    /// [`io::ErrorKind::NotFound`] if absent.
-    ///
-    /// The default **emulates** generations as the FNV-64 of the visible
-    /// content: good enough to detect "someone else wrote since I looked",
-    /// which is all the compare in [`ObjectStore::put_if`] needs. Native
-    /// implementations serve their real version counters and are strongly
-    /// consistent; the emulation inherits `get`'s staleness.
-    fn head(&self, name: &str) -> io::Result<u64> {
-        self.get(name).map(|bytes| fnv64(&bytes).max(1))
-    }
+    /// The current generation of `name` (never 0), read strongly
+    /// consistently; [`io::ErrorKind::NotFound`] if absent.
+    fn head(&self, name: &str) -> io::Result<u64>;
 
     /// Conditional put: write `bytes` to `name` only if its current
-    /// generation equals `expected` (0 = must be absent). Returns the new
-    /// generation; a lost race is a [`bfu_store::CasConflict`]-carrying
-    /// error (recover it with [`bfu_store::as_cas_conflict`]).
-    ///
-    /// The default is an **emulation with an honest race**: it compares via
-    /// [`ObjectStore::head`] and then puts, so two emulated callers can
-    /// interleave between compare and put and both "win". Native
-    /// implementations ([`crate::DirObjectStore`], [`crate::SimObjectStore`],
-    /// the remote server) make the compare-and-write atomic, which is what
-    /// the election fence requires — never build a fence on the emulation.
-    fn put_if(&self, name: &str, expected: u64, bytes: &[u8]) -> io::Result<u64> {
-        let found = match self.head(name) {
-            Ok(gen) => gen,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(e),
-        };
-        if found != expected {
-            return Err(cas_conflict_error(expected, found));
-        }
-        // The honest race: another writer can land here, between the
-        // compare above and the put below.
-        self.put(name, bytes)?;
-        Ok(fnv64(bytes).max(1))
-    }
+    /// generation equals `expected` (0 = must be absent). The compare and
+    /// the write are one atomic step, which the election fence requires.
+    /// Returns the new generation; a lost race is a
+    /// [`bfu_store::CasConflict`]-carrying error (recover it with
+    /// [`bfu_store::as_cas_conflict`]).
+    fn put_if(&self, name: &str, expected: u64, bytes: &[u8]) -> io::Result<u64>;
 
     /// Wire-level op accounting, if this store is a network client.
     ///

@@ -1,4 +1,5 @@
-//! Content-addressed script compilation cache.
+//! Content-addressed script compilation cache, and the runnable [`Script`]
+//! it hands out.
 //!
 //! A crawl executes the same script sources over and over: every page is
 //! visited once per round per browser profile, and third-party scripts are
@@ -16,66 +17,89 @@
 //!   never another script's program. The stored source is the allocation
 //!   the embedder passed in ([`Source::decoded`]), so a served script body
 //!   is kept, not copied.
+//! - **One entry per source.** An entry holds the parse outcome and, once a
+//!   VM probe has reached it, the chunk or the fact that there is none. Each
+//!   engine counts only its own probes: a tree-walk probe misses when it
+//!   parses the source, a VM probe when it compiles it (its first probe of
+//!   the source, even if a tree-walk probe parsed it before).
 //! - **Negative caching.** Parse *errors* are cached alongside successes.
 //!   [`ParseError`] is a plain value (`Clone + PartialEq`), so a hostile
 //!   malformed script is diagnosed once and every later encounter replays
 //!   the identical error — hit and miss behave bit-identically.
-//! - **Striping.** Each map is striped across sixteen mutexes chosen by the
+//! - **Striping.** The map is striped across sixteen mutexes chosen by the
 //!   hash's low bits, so worker threads parsing different scripts rarely
-//!   contend. Parsing happens *under* the stripe lock: two threads racing on
-//!   the same new script serialize, and exactly one parse per unique source
-//!   ever runs. That makes the miss counter deterministic (== unique sources
-//!   seen), not scheduling-dependent.
-//! - **Determinism.** Parsing consumes no interpreter fuel (budgets are
-//!   installed per execution phase, after parsing), so replaying a cached
-//!   AST burns exactly the fuel a fresh parse-then-run would. Cached ASTs
-//!   are `Arc<Program>`s shared by all threads. Their function bodies are
-//!   spans of the entry's own source allocation, parsed on first call
-//!   ([`crate::ast::Body`]); that parse burns no fuel either and is not a
-//!   cache event, so misses still equal unique sources.
+//!   contend. Parsing and compiling happen *under* the stripe lock: two
+//!   threads racing on the same new script serialize, and exactly one parse
+//!   and at most one compile per unique source ever run. That makes the
+//!   miss counters deterministic (== unique sources each engine saw), not
+//!   scheduling-dependent.
+//! - **Determinism.** Parsing and compiling consume no interpreter fuel
+//!   (budgets are installed per execution phase, after parsing), so
+//!   replaying a cached tree or chunk burns exactly the fuel a fresh
+//!   prepare-then-run would. Cached ASTs are `Arc<Program>`s shared by all
+//!   threads. Their function bodies are spans of the entry's own source
+//!   allocation, parsed on first call ([`crate::ast::Body`]); that parse
+//!   burns no fuel either and is not a cache event, so misses still equal
+//!   unique sources.
 
 use crate::ast::Program;
-use crate::compile::{Chunk, CompileError};
-use crate::parser::{parse_shared, ParseError};
+use crate::compile::{compile, Chunk};
+use crate::interp::{Interpreter, RuntimeError};
+use crate::parser::{parse, parse_shared, ParseError};
+use crate::value::Value;
+use crate::vm::{run_chunk, Engine};
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of lock stripes. Power of two so stripe selection is a mask; 16
 /// comfortably exceeds the crawler's worker-thread counts.
 const STRIPES: usize = 16;
 
-/// What a cache entry holds: a shared parsed program, or the diagnosed
+/// A parsed program shared by every probe of its source, or the diagnosed
 /// parse error replayed on every later encounter (negative caching).
 pub type ParseOutcome = Result<Arc<Program>, ParseError>;
 
-/// Why a source has no bytecode chunk: it never parsed, or it parsed but
-/// would not lower. Both are plain values cached negatively, so every later
-/// encounter replays the identical diagnosis.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChunkError {
-    /// The source failed to parse (same error the AST family caches).
-    Parse(ParseError),
-    /// The source parsed but the bytecode compiler rejected it; the
-    /// embedder falls back to tree-walk execution of the cached AST.
-    Compile(CompileError),
+/// A page script ready to run: its parsed tree, plus its bytecode chunk
+/// when it was prepared for the VM and the compiler accepted it.
+#[derive(Debug, Clone)]
+pub struct Script {
+    program: Arc<Program>,
+    /// Present only when prepared for [`Engine::Vm`], and then compiled
+    /// from `program`.
+    chunk: Option<Arc<Chunk>>,
 }
 
-impl fmt::Display for ChunkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChunkError::Parse(e) => write!(f, "{e}"),
-            ChunkError::Compile(e) => write!(f, "{e}"),
+impl Script {
+    /// Parse `src`, and compile it when `engine` is the VM, without a cache.
+    pub fn prepare(src: &str, engine: Engine) -> Result<Script, ParseError> {
+        let program = Arc::new(parse(src)?);
+        let chunk = lower(&program, engine);
+        Ok(Script { program, chunk })
+    }
+
+    /// Run the script in `interp`'s global scope: the chunk if there is one,
+    /// otherwise the tree.
+    ///
+    /// A program the compiler rejected (a pool or code offset past `u32`)
+    /// has no chunk and runs its tree, so a compiler limit slows a page down
+    /// but never loses it.
+    pub fn run(&self, interp: &mut Interpreter) -> Result<Value, RuntimeError> {
+        match &self.chunk {
+            Some(chunk) => run_chunk(interp, chunk),
+            None => interp.run(&self.program),
         }
     }
 }
 
-impl std::error::Error for ChunkError {}
-
-/// What a chunk-cache entry holds: a shared compiled chunk, or the cached
-/// reason there is none.
-pub type ChunkOutcome = Result<Arc<Chunk>, ChunkError>;
+/// The chunk `engine` runs `program` from: none for the tree-walk, and none
+/// for the VM when the compiler rejects the program.
+fn lower(program: &Program, engine: Engine) -> Option<Arc<Chunk>> {
+    match engine {
+        Engine::TreeWalk => None,
+        Engine::Vm => compile(program).ok().map(Arc::new),
+    }
+}
 
 /// A script source as the cache sees it: the text, plus the shared
 /// allocation holding exactly those bytes when the embedder has one.
@@ -126,45 +150,47 @@ impl<'a> From<&'a str> for Source<'a> {
 /// One cached source: the bytes every later hit is confirmed against, and
 /// what they produced.
 #[derive(Debug)]
-struct Entry<T> {
+struct Entry {
     source: Arc<[u8]>,
-    outcome: T,
+    program: ParseOutcome,
+    /// `None` until a VM probe reaches the entry; then its chunk, or `None`
+    /// inside when it has none (it failed to parse or to compile).
+    chunk: Option<Option<Arc<Chunk>>>,
 }
 
-/// One lock stripe: content hash → every distinct source with that hash
-/// (one, barring a collision).
-type Stripe<T> = Mutex<HashMap<u64, Vec<Entry<T>>>>;
+/// Content hash → every distinct source with that hash (one, barring a
+/// collision).
+type Entries = HashMap<u64, Vec<Entry>>;
 
-/// Lock one stripe. A poisoned stripe is still consistent (entries are
-/// inserted whole), so its guard is taken as is.
-fn lock<T>(stripe: &Stripe<T>) -> MutexGuard<'_, HashMap<u64, Vec<Entry<T>>>> {
-    match stripe.lock() {
-        Ok(m) => m,
-        Err(poisoned) => poisoned.into_inner(),
+/// Lock one stripe. A poisoned stripe is still consistent (an entry is
+/// pushed whole and its chunk slot set in one store), so its guard is taken
+/// as is.
+fn lock(stripe: &Mutex<Entries>) -> MutexGuard<'_, Entries> {
+    stripe.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One engine's probe counters.
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    negative_hits: AtomicU64,
+}
+
+impl Counters {
+    fn count(&self, outcome: CacheOutcome) {
+        let counter = match outcome {
+            CacheOutcome::Hit => &self.hits,
+            CacheOutcome::Miss => &self.misses,
+            CacheOutcome::NegativeHit => &self.negative_hits,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
-}
 
-/// The stripe the low bits of `key` select.
-fn stripe<T>(stripes: &[Stripe<T>; STRIPES], key: u64) -> &Stripe<T> {
-    &stripes[(key as usize) & (STRIPES - 1)]
-}
-
-/// The entry for `src` under `key`, if one is resident.
-fn find<'m, T>(
-    map: &'m HashMap<u64, Vec<Entry<T>>>,
-    key: u64,
-    src: &Source<'_>,
-) -> Option<&'m Entry<T>> {
-    map.get(&key)?.iter().find(|e| src.is(&e.source))
-}
-
-/// Number of entries resident across `stripes`.
-fn entries<T>(stripes: &[Stripe<T>; STRIPES]) -> u64 {
-    let n: usize = stripes
-        .iter()
-        .map(|s| lock(s).values().map(Vec::len).sum::<usize>())
-        .sum();
-    n as u64
+    /// Hits, misses and negative hits so far.
+    fn read(&self) -> [u64; 3] {
+        [&self.hits, &self.misses, &self.negative_hits].map(|c| c.load(Ordering::Relaxed))
+    }
 }
 
 /// The 128-bit product of `a` and `b`, its high half folded onto its low.
@@ -176,11 +202,13 @@ fn fold_mul(a: u64, b: u64) -> u64 {
 /// What one cache probe observed (for the embedder's per-page stats).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Source was parsed for the first time (cache filled).
+    /// The probe did its engine's work for the first time: parsed the
+    /// source (tree-walk) or compiled it (VM).
     Miss,
-    /// A previously parsed program was reused.
+    /// A previously parsed program or compiled chunk was reused.
     Hit,
-    /// A previously diagnosed parse error was replayed.
+    /// A previously diagnosed failure was replayed: a parse error, or for
+    /// the VM a source that has no chunk.
     NegativeHit,
 }
 
@@ -190,26 +218,26 @@ pub enum CacheOutcome {
 /// there first); misses equal the number of unique sources.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Probes that reused a parsed program.
+    /// Tree-walk probes that reused a parsed program.
     pub hits: u64,
-    /// Probes that parsed fresh source.
+    /// Tree-walk probes that parsed fresh source.
     pub misses: u64,
-    /// Probes that replayed a cached parse error.
+    /// Tree-walk probes that replayed a cached parse error.
     pub negative_hits: u64,
-    /// Distinct sources currently resident (== successful + failed parses).
+    /// Distinct sources resident (== successful + failed parses).
     pub unique_sources: u64,
-    /// Chunk probes that reused a compiled chunk.
+    /// VM probes that reused a compiled chunk.
     pub chunk_hits: u64,
-    /// Chunk probes that compiled fresh (== unique sources probed as chunks).
+    /// VM probes that compiled a source (== unique sources the VM probed).
     pub chunk_misses: u64,
-    /// Chunk probes that replayed a cached parse/compile error.
+    /// VM probes of a source with no chunk (a parse or compile error).
     pub chunk_negative_hits: u64,
-    /// Distinct sources resident in the chunk map.
+    /// Distinct sources a VM probe has reached.
     pub unique_chunks: u64,
 }
 
 impl CacheStats {
-    /// Fraction of probes (both families) served from cache, in `[0, 1]`.
+    /// Fraction of probes (both engines) served from cache, in `[0, 1]`.
     pub fn hit_rate(&self) -> f64 {
         let served = self.hits + self.negative_hits + self.chunk_hits + self.chunk_negative_hits;
         let total = served + self.misses + self.chunk_misses;
@@ -220,7 +248,8 @@ impl CacheStats {
     }
 }
 
-/// A thread-safe, content-addressed map from script source to parse result.
+/// A thread-safe, content-addressed map from script source to parse result
+/// and, for the VM, compiled chunk.
 ///
 /// Shared via `Arc` across every page, site, round, profile, and worker
 /// thread of a survey. See the module docs for the determinism argument.
@@ -238,14 +267,11 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct ScriptCache {
-    stripes: [Stripe<ParseOutcome>; STRIPES],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    negative_hits: AtomicU64,
-    chunk_stripes: [Stripe<ChunkOutcome>; STRIPES],
-    chunk_hits: AtomicU64,
-    chunk_misses: AtomicU64,
-    chunk_negative_hits: AtomicU64,
+    stripes: [Mutex<Entries>; STRIPES],
+    /// Tree-walk probes: the AST counters of [`CacheStats`].
+    tree_walk: Counters,
+    /// VM probes: the chunk counters of [`CacheStats`].
+    vm: Counters,
 }
 
 impl ScriptCache {
@@ -270,140 +296,108 @@ impl ScriptCache {
         fold_mul(h ^ u64::from_le_bytes(last), K)
     }
 
-    /// Parse `src`, or reuse the cached result for identical source.
+    /// Parse `src`, or reuse the cached result for identical source (a
+    /// tree-walk probe).
     ///
     /// Returns the shared program on success, or a replay of the cached
     /// [`ParseError`] for source already known to be malformed.
     pub fn lookup_or_parse<'a>(&self, src: impl Into<Source<'a>>) -> ParseOutcome {
-        self.lookup_or_parse_counted(src).0
+        let (script, _) = self.prepare_counted(src, Engine::TreeWalk);
+        script.map(|script| script.program)
     }
 
-    /// [`ScriptCache::lookup_or_parse`] plus what the probe observed.
-    pub fn lookup_or_parse_counted<'a>(
-        &self,
-        src: impl Into<Source<'a>>,
-    ) -> (ParseOutcome, CacheOutcome) {
-        let src = src.into();
-        self.parse_keyed(ScriptCache::content_hash(src.text), src)
-    }
-
-    /// [`ScriptCache::lookup_or_parse_counted`] under a given key.
-    fn parse_keyed(&self, key: u64, src: Source<'_>) -> (ParseOutcome, CacheOutcome) {
-        let mut map = lock(stripe(&self.stripes, key));
-        if let Some(cached) = find(&map, key, &src) {
-            let outcome = match cached.outcome {
-                Ok(_) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    CacheOutcome::Hit
-                }
-                Err(_) => {
-                    self.negative_hits.fetch_add(1, Ordering::Relaxed);
-                    CacheOutcome::NegativeHit
-                }
-            };
-            return (cached.outcome.clone(), outcome);
-        }
-        // Parse under the stripe lock: a second thread racing on the same
-        // source waits here and then hits, so misses count unique sources
-        // exactly and no parse ever runs twice.
-        let source = src.to_shared();
-        let result = parse_shared(src.text, &source).map(Arc::new);
-        map.entry(key).or_default().push(Entry {
-            source,
-            outcome: result.clone(),
-        });
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        (result, CacheOutcome::Miss)
-    }
-
-    /// Compile `src` to a bytecode chunk, or reuse the cached result for
-    /// identical source.
+    /// [`Script::prepare`] through the cache, plus what the probe observed.
     ///
-    /// The chunk family is layered over the AST family: a chunk miss first
-    /// fills the AST map (without charging AST probe counters — one probe,
-    /// one count), then lowers the program. Parse *and* compile failures are
-    /// cached negatively, so a malformed or uncompilable source is diagnosed
-    /// once and every later encounter replays the identical [`ChunkError`].
-    pub fn lookup_or_compile<'a>(&self, src: impl Into<Source<'a>>) -> ChunkOutcome {
-        self.lookup_or_compile_counted(src).0
-    }
-
-    /// [`ScriptCache::lookup_or_compile`] plus what the probe observed.
-    pub fn lookup_or_compile_counted<'a>(
+    /// The first probe of a source parses it; the first VM probe also
+    /// compiles it. Every later probe reuses the entry, and a malformed
+    /// source replays its identical [`ParseError`].
+    pub fn prepare_counted<'a>(
         &self,
         src: impl Into<Source<'a>>,
-    ) -> (ChunkOutcome, CacheOutcome) {
+        engine: Engine,
+    ) -> (Result<Script, ParseError>, CacheOutcome) {
         let src = src.into();
-        self.compile_keyed(ScriptCache::content_hash(src.text), src)
+        self.prepare_keyed(ScriptCache::content_hash(src.text), src, engine)
     }
 
-    /// [`ScriptCache::lookup_or_compile_counted`] under a given key.
-    fn compile_keyed(&self, key: u64, src: Source<'_>) -> (ChunkOutcome, CacheOutcome) {
-        let mut map = lock(stripe(&self.chunk_stripes, key));
-        if let Some(cached) = find(&map, key, &src) {
-            let outcome = match cached.outcome {
-                Ok(_) => {
-                    self.chunk_hits.fetch_add(1, Ordering::Relaxed);
-                    CacheOutcome::Hit
+    /// [`ScriptCache::prepare_counted`] under a given key.
+    fn prepare_keyed(
+        &self,
+        key: u64,
+        src: Source<'_>,
+        engine: Engine,
+    ) -> (Result<Script, ParseError>, CacheOutcome) {
+        let mut stripe = self.stripe(key);
+        let entries = stripe.entry(key).or_default();
+        let found = entries.iter().position(|e| src.is(&e.source));
+        let i = found.unwrap_or_else(|| {
+            // Parse under the stripe lock: a second thread racing on the
+            // same source waits here and then hits, so misses count unique
+            // sources exactly and no parse ever runs twice.
+            let source = src.to_shared();
+            let program = parse_shared(src.text, &source).map(Arc::new);
+            entries.push(Entry {
+                source,
+                program,
+                chunk: None,
+            });
+            entries.len() - 1
+        });
+        let entry = &mut entries[i];
+        let outcome = match engine {
+            Engine::TreeWalk if found.is_none() => CacheOutcome::Miss,
+            Engine::TreeWalk if entry.program.is_ok() => CacheOutcome::Hit,
+            Engine::TreeWalk => CacheOutcome::NegativeHit,
+            Engine::Vm => match &entry.chunk {
+                // Compile under the stripe lock too, once per unique source.
+                None => {
+                    let program = entry.program.as_deref().ok();
+                    entry.chunk = Some(program.and_then(|p| lower(p, engine)));
+                    CacheOutcome::Miss
                 }
-                Err(_) => {
-                    self.chunk_negative_hits.fetch_add(1, Ordering::Relaxed);
-                    CacheOutcome::NegativeHit
-                }
-            };
-            return (cached.outcome.clone(), outcome);
-        }
-        // Compile under the chunk-stripe lock (same argument as parsing:
-        // misses == unique sources, exactly one compile each). The AST map
-        // is filled en route so a compile-error fallback — or a later
-        // tree-walk engine probing the same source — reuses the parse. Lock
-        // order is chunk stripe → AST stripe only, and the AST-only path
-        // never takes a chunk lock, so no cycle exists.
-        let (source, parsed) = self.parse_for_chunk(key, src);
-        let result = match parsed {
-            Ok(program) => match crate::compile::compile(&program) {
-                Ok(chunk) => Ok(Arc::new(chunk)),
-                Err(e) => Err(ChunkError::Compile(e)),
+                Some(Some(_)) => CacheOutcome::Hit,
+                Some(None) => CacheOutcome::NegativeHit,
             },
-            Err(e) => Err(ChunkError::Parse(e)),
         };
-        map.entry(key).or_default().push(Entry {
-            source,
-            outcome: result.clone(),
-        });
-        self.chunk_misses.fetch_add(1, Ordering::Relaxed);
-        (result, CacheOutcome::Miss)
+        let counters = match engine {
+            Engine::TreeWalk => &self.tree_walk,
+            Engine::Vm => &self.vm,
+        };
+        counters.count(outcome);
+        let chunk = match engine {
+            // The tree-walk runs the tree even when a VM probe left a chunk.
+            Engine::TreeWalk => None,
+            Engine::Vm => entry.chunk.clone().flatten(),
+        };
+        let program = entry.program.clone();
+        (program.map(|program| Script { program, chunk }), outcome)
     }
 
-    /// Probe-or-fill the AST family for the chunk path, without ticking the
-    /// AST probe counters (the chunk counters already record this probe).
-    /// Returns the AST entry's source too, so both families keep one
-    /// allocation.
-    fn parse_for_chunk(&self, key: u64, src: Source<'_>) -> (Arc<[u8]>, ParseOutcome) {
-        let mut map = lock(stripe(&self.stripes, key));
-        if let Some(cached) = find(&map, key, &src) {
-            return (Arc::clone(&cached.source), cached.outcome.clone());
-        }
-        let source = src.to_shared();
-        let result = parse_shared(src.text, &source).map(Arc::new);
-        map.entry(key).or_default().push(Entry {
-            source: Arc::clone(&source),
-            outcome: result.clone(),
-        });
-        (source, result)
+    /// The locked stripe the low bits of `key` select.
+    fn stripe(&self, key: u64) -> MutexGuard<'_, Entries> {
+        lock(&self.stripes[(key as usize) & (STRIPES - 1)])
     }
 
     /// Current totals.
     pub fn stats(&self) -> CacheStats {
+        let (mut unique_sources, mut unique_chunks) = (0, 0);
+        for stripe in &self.stripes {
+            for entry in lock(stripe).values().flatten() {
+                unique_sources += 1;
+                unique_chunks += u64::from(entry.chunk.is_some());
+            }
+        }
+        let [hits, misses, negative_hits] = self.tree_walk.read();
+        let [chunk_hits, chunk_misses, chunk_negative_hits] = self.vm.read();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            negative_hits: self.negative_hits.load(Ordering::Relaxed),
-            unique_sources: entries(&self.stripes),
-            chunk_hits: self.chunk_hits.load(Ordering::Relaxed),
-            chunk_misses: self.chunk_misses.load(Ordering::Relaxed),
-            chunk_negative_hits: self.chunk_negative_hits.load(Ordering::Relaxed),
-            unique_chunks: entries(&self.chunk_stripes),
+            hits,
+            misses,
+            negative_hits,
+            unique_sources,
+            chunk_hits,
+            chunk_misses,
+            chunk_negative_hits,
+            unique_chunks,
         }
     }
 }
@@ -413,11 +407,30 @@ mod tests {
     use super::*;
     use crate::ast::Stmt;
 
+    /// A tree-walk probe: the program, and what the probe observed.
+    fn tree<'a>(cache: &ScriptCache, src: impl Into<Source<'a>>) -> (ParseOutcome, CacheOutcome) {
+        let (script, outcome) = cache.prepare_counted(src, Engine::TreeWalk);
+        let program = script.map(|s| {
+            assert!(s.chunk.is_none(), "the tree-walk runs the tree");
+            s.program
+        });
+        (program, outcome)
+    }
+
+    /// A VM probe: the chunk, and what the probe observed.
+    fn vm<'a>(
+        cache: &ScriptCache,
+        src: impl Into<Source<'a>>,
+    ) -> (Result<Arc<Chunk>, ParseError>, CacheOutcome) {
+        let (script, outcome) = cache.prepare_counted(src, Engine::Vm);
+        (script.map(|s| s.chunk.expect("lowers")), outcome)
+    }
+
     #[test]
     fn hit_returns_same_program() {
         let cache = ScriptCache::new();
-        let (a, o1) = cache.lookup_or_parse_counted("var a = 1 + 2;");
-        let (b, o2) = cache.lookup_or_parse_counted("var a = 1 + 2;");
+        let (a, o1) = tree(&cache, "var a = 1 + 2;");
+        let (b, o2) = tree(&cache, "var a = 1 + 2;");
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
@@ -430,8 +443,8 @@ mod tests {
     fn negative_cache_replays_identical_error() {
         let cache = ScriptCache::new();
         let fresh = crate::parser::parse("var = ;").unwrap_err();
-        let (first, o1) = cache.lookup_or_parse_counted("var = ;");
-        let (second, o2) = cache.lookup_or_parse_counted("var = ;");
+        let (first, o1) = tree(&cache, "var = ;");
+        let (second, o2) = tree(&cache, "var = ;");
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::NegativeHit);
         assert_eq!(first.unwrap_err(), fresh);
@@ -439,10 +452,10 @@ mod tests {
         assert_eq!(cache.stats().negative_hits, 1);
     }
 
-    /// The global `x` after running `program` in a fresh interpreter.
-    fn x_after(run: impl FnOnce(&mut crate::Interpreter)) -> f64 {
+    /// The global `x` after running `script` in a fresh interpreter.
+    fn x_after(script: &Script) -> f64 {
         let mut interp = crate::Interpreter::new();
-        run(&mut interp);
+        script.run(&mut interp).unwrap();
         match interp.get_global("x") {
             crate::Value::Num(n) => n,
             other => panic!("x is {other:?}"),
@@ -453,16 +466,16 @@ mod tests {
     fn colliding_keys_parse_and_run_each_source() {
         let cache = ScriptCache::new();
         let (a, b) = ("var x = 1;", "var x = 2;");
-        let (pa, oa) = cache.parse_keyed(7, a.into());
-        let (pb, ob) = cache.parse_keyed(7, b.into());
+        let (sa, oa) = cache.prepare_keyed(7, a.into(), Engine::TreeWalk);
+        let (sb, ob) = cache.prepare_keyed(7, b.into(), Engine::TreeWalk);
         assert_eq!((oa, ob), (CacheOutcome::Miss, CacheOutcome::Miss));
-        let (pa, pb) = (pa.unwrap(), pb.unwrap());
-        assert_eq!(x_after(|i| drop(i.run(&pa).unwrap())), 1.0);
-        assert_eq!(x_after(|i| drop(i.run(&pb).unwrap())), 2.0);
+        let (sa, sb) = (sa.unwrap(), sb.unwrap());
+        assert_eq!(x_after(&sa), 1.0);
+        assert_eq!(x_after(&sb), 2.0);
         // Later probes under the shared key find their own entries.
-        let (again, o) = cache.parse_keyed(7, b.into());
+        let (again, o) = cache.prepare_keyed(7, b.into(), Engine::TreeWalk);
         assert_eq!(o, CacheOutcome::Hit);
-        assert!(Arc::ptr_eq(&again.unwrap(), &pb));
+        assert!(Arc::ptr_eq(&again.unwrap().program, &sb.program));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.unique_sources), (1, 2, 2));
     }
@@ -471,18 +484,19 @@ mod tests {
     fn colliding_keys_compile_and_run_each_source() {
         let cache = ScriptCache::new();
         let (a, b) = ("var x = 1;", "var x = 2;");
-        let (ca, oa) = cache.compile_keyed(7, a.into());
-        let (cb, ob) = cache.compile_keyed(7, b.into());
+        let (sa, oa) = cache.prepare_keyed(7, a.into(), Engine::Vm);
+        let (sb, ob) = cache.prepare_keyed(7, b.into(), Engine::Vm);
         assert_eq!((oa, ob), (CacheOutcome::Miss, CacheOutcome::Miss));
-        let (ca, cb) = (ca.unwrap(), cb.unwrap());
-        assert_eq!(x_after(|i| drop(crate::run_chunk(i, &ca).unwrap())), 1.0);
-        assert_eq!(x_after(|i| drop(crate::run_chunk(i, &cb).unwrap())), 2.0);
-        let (again, o) = cache.compile_keyed(7, a.into());
+        let (sa, sb) = (sa.unwrap(), sb.unwrap());
+        assert_eq!(x_after(&sa), 1.0);
+        assert_eq!(x_after(&sb), 2.0);
+        let (again, o) = cache.prepare_keyed(7, a.into(), Engine::Vm);
         assert_eq!(o, CacheOutcome::Hit);
-        assert!(Arc::ptr_eq(&again.unwrap(), &ca));
+        let (again, ca) = (again.unwrap().chunk.unwrap(), sa.chunk.unwrap());
+        assert!(Arc::ptr_eq(&again, &ca));
         let s = cache.stats();
         assert_eq!((s.chunk_hits, s.chunk_misses, s.unique_chunks), (1, 2, 2));
-        assert_eq!(s.unique_sources, 2, "each filled its own AST entry");
+        assert_eq!(s.unique_sources, 2, "one entry per source");
     }
 
     #[test]
@@ -494,10 +508,10 @@ mod tests {
             let text = std::str::from_utf8(&body).unwrap();
             let source = Source::decoded(text, &body);
             if compiled {
-                cache.lookup_or_compile(source).unwrap();
+                vm(&cache, source).0.unwrap();
             }
-            let (program, o) = cache.lookup_or_parse_counted(source);
-            // A chunk probe fills the AST family on its way.
+            let (program, o) = tree(&cache, source);
+            // A VM probe fills the source's one entry on its way.
             let want = if compiled {
                 CacheOutcome::Hit
             } else {
@@ -507,7 +521,7 @@ mod tests {
             // The miss kept the body's allocation, not a copy, and the
             // program's deferred function body shares it.
             let key = ScriptCache::content_hash(text);
-            let kept = Arc::clone(&lock(stripe(&cache.stripes, key))[&key][0].source);
+            let kept = Arc::clone(&cache.stripe(key)[&key][0].source);
             assert!(Arc::ptr_eq(&kept, &body));
             let Stmt::FunctionDecl(f) = &program.unwrap().body[0] else {
                 panic!("a function first");
@@ -515,10 +529,7 @@ mod tests {
             assert!(Arc::ptr_eq(f.body.source(), &body));
             // Equal bytes in another allocation hit too.
             let copy = String::from(src);
-            assert_eq!(
-                cache.lookup_or_parse_counted(copy.as_str()).1,
-                CacheOutcome::Hit
-            );
+            assert_eq!(tree(&cache, copy.as_str()).1, CacheOutcome::Hit);
         }
     }
 
@@ -567,6 +578,18 @@ mod tests {
         let cached = cache.lookup_or_parse(src).unwrap();
         let fresh = crate::parser::parse(src).unwrap();
         assert_eq!(*cached, fresh);
+        // Without a cache, only the VM's script carries a chunk, and both
+        // run to the same global.
+        let vm = Script::prepare(src, Engine::Vm).unwrap();
+        let walk = Script::prepare(src, Engine::TreeWalk).unwrap();
+        assert!(vm.chunk.is_some());
+        assert!(walk.chunk.is_none());
+        for script in [vm, walk] {
+            assert_eq!(*script.program, fresh);
+            let mut interp = crate::Interpreter::new();
+            script.run(&mut interp).unwrap();
+            assert_eq!(interp.get_global("y").to_number(), 42.0);
+        }
     }
 
     #[test]
@@ -646,8 +669,8 @@ mod tests {
     #[test]
     fn chunk_hit_returns_same_chunk() {
         let cache = ScriptCache::new();
-        let (a, o1) = cache.lookup_or_compile_counted("var a = 1 + 2;");
-        let (b, o2) = cache.lookup_or_compile_counted("var a = 1 + 2;");
+        let (a, o1) = vm(&cache, "var a = 1 + 2;");
+        let (b, o2) = vm(&cache, "var a = 1 + 2;");
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::Hit);
         assert!(Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
@@ -657,8 +680,8 @@ mod tests {
             (1, 1, 0)
         );
         assert_eq!(s.unique_chunks, 1);
-        // The chunk path fills the AST family without charging its probe
-        // counters: one probe, one count.
+        // The VM probe parsed into the source's one entry without charging
+        // the tree-walk's counters: one probe, one count.
         assert_eq!(s.unique_sources, 1);
         assert_eq!((s.hits, s.misses, s.negative_hits), (0, 0, 0));
     }
@@ -667,13 +690,19 @@ mod tests {
     fn negative_chunk_cache_replays_identical_parse_error() {
         let cache = ScriptCache::new();
         let fresh = crate::parser::parse("var = ;").unwrap_err();
-        let (first, o1) = cache.lookup_or_compile_counted("var = ;");
-        let (second, o2) = cache.lookup_or_compile_counted("var = ;");
+        // The tree-walk parses first; the VM's first probe still misses.
+        let (parsed, o0) = tree(&cache, "var = ;");
+        let (first, o1) = vm(&cache, "var = ;");
+        let (second, o2) = vm(&cache, "var = ;");
+        assert_eq!(o0, CacheOutcome::Miss);
         assert_eq!(o1, CacheOutcome::Miss);
         assert_eq!(o2, CacheOutcome::NegativeHit);
-        assert_eq!(first.unwrap_err(), ChunkError::Parse(fresh.clone()));
-        assert_eq!(second.unwrap_err(), ChunkError::Parse(fresh));
-        assert_eq!(cache.stats().chunk_negative_hits, 1);
+        assert_eq!(parsed.unwrap_err(), fresh);
+        assert_eq!(first.unwrap_err(), fresh);
+        assert_eq!(second.unwrap_err(), fresh);
+        let s = cache.stats();
+        assert_eq!((s.misses, s.chunk_misses, s.chunk_negative_hits), (1, 1, 1));
+        assert_eq!((s.unique_sources, s.unique_chunks), (1, 1));
     }
 
     #[test]
@@ -681,12 +710,12 @@ mod tests {
         let cache = ScriptCache::new();
         let src = "function f(x) { return x * 2; } var y = f(21);";
         let ast = cache.lookup_or_parse(src).unwrap();
-        cache.lookup_or_compile(src).unwrap();
+        vm(&cache, src).0.unwrap();
         let s = cache.stats();
         assert_eq!(s.unique_sources, 1, "chunk probe reused the parsed AST");
         assert_eq!(s.misses, 1);
         assert_eq!(s.chunk_misses, 1);
-        // And the AST family still serves the same program afterwards.
+        // And the tree-walk still gets the same program afterwards.
         let again = cache.lookup_or_parse(src).unwrap();
         assert!(Arc::ptr_eq(&ast, &again));
     }
@@ -701,7 +730,7 @@ mod tests {
                 let srcs = srcs.clone();
                 scope.spawn(move || {
                     for s in &srcs {
-                        cache.lookup_or_compile(s.as_str()).unwrap();
+                        vm(&cache, s.as_str()).0.unwrap();
                     }
                 });
             }

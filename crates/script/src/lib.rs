@@ -21,7 +21,8 @@
 //! - [`compile`](mod@compile) — AST → bytecode chunk lowering.
 //! - [`vm`] — the bytecode dispatch loop (the production engine).
 //! - [`budget`] — multi-axis execution resource budgets.
-//! - [`cache`] — survey-wide content-addressed compilation cache.
+//! - [`cache`] — survey-wide content-addressed compilation cache, and the
+//!   runnable [`Script`] it and [`Script::prepare`] hand out.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -37,7 +38,7 @@ pub mod value;
 pub mod vm;
 
 pub use budget::ResourceBudget;
-pub use cache::{CacheOutcome, CacheStats, ChunkError, ChunkOutcome, ScriptCache, Source};
+pub use cache::{CacheOutcome, CacheStats, Script, ScriptCache, Source};
 pub use compile::{compile, Chunk, CompileError, FuncChunk, LazyFunc};
 pub use interp::{Interpreter, NativeFn, RuntimeError, ScriptError};
 pub use object::{Heap, ObjId, PropKey};

@@ -66,7 +66,6 @@ fn main() {
         let policy = policy_for(&web, profile);
         let mut rng = SimRng::new(777);
         let m = visit_site_round(
-            &web,
             &browser,
             &mut net,
             &policy,

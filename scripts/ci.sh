@@ -76,8 +76,8 @@ echo "==> crawl_bench smoke (engine x cache grid fingerprints + live caches)"
 # itself errors if any engine x cache cell diverges from the warmup
 # fingerprint, if a cached run reports the cache disabled, or if the VM run
 # never compiled a chunk; the jq-less greps below additionally pin the grid
-# columns and a real hit rate so a silently dead cache — AST or chunk
-# family — or a dropped engine dimension cannot pass.
+# columns and a real hit rate so a silently dead cache — under either
+# engine's counters — or a dropped engine dimension cannot pass.
 CI_BENCH_OUT=$(mktemp)
 cargo run -q --release -p bfu-bench --bin crawl_bench -- \
     --sites 10 --rounds 2 --script-weight 25 --out "$CI_BENCH_OUT"
