@@ -11,10 +11,11 @@
 //! Booting a realm — a fresh interpreter, [`api::install`] over all 1,392
 //! features, then [`Instrumentation::install_with_index`] — is the same for
 //! every page, so a [`Browser`] does it once, on its first load, and starts
-//! each page from a copy of that booted realm. The copy shares nothing
-//! mutable with the booted realm or with other pages: natives reach the
-//! page's host and log through the interpreter that calls them (see
-//! [`crate::api`]).
+//! each page from a clone of that booted realm. The clone shares the booted
+//! heap copy-on-write and copies only the heap chunks the page writes (two,
+//! on a generated page), so nothing a page writes reaches the booted realm
+//! or another page. Natives reach the page's host and log through the
+//! interpreter that calls them (see [`crate::api`]).
 //!
 //! The resulting [`Page`] exposes the interaction surface the monkey
 //! (`bfu-monkey`) drives: event dispatch, virtual timers, link extraction,
@@ -130,8 +131,9 @@ impl BrowserConfig {
 /// The browser: a registry plus configuration; `load` produces pages.
 ///
 /// A browser boots its instrumented realm once, on the first load, and
-/// starts every page from a copy of it; the realm is rebooted when
-/// `config.instrument` has changed since.
+/// starts every page from a copy-on-write clone of it (see
+/// [`Interpreter`]); the realm is rebooted when `config.instrument` has
+/// changed since.
 #[derive(Debug, Clone)]
 pub struct Browser {
     /// The instrumented feature universe.
@@ -311,9 +313,10 @@ impl Browser {
         let host = Rc::new(RefCell::new(HostEnv::new(doc, url.clone())));
         host.borrow_mut().now = clock.now();
 
-        // 3. A copy of the booted realm — engine, API and instrumentation
+        // 3. A clone of the booted realm — engine, API and instrumentation
         //    already installed, before any page script runs, like the
-        //    paper's <head> injection — pointed at this page.
+        //    paper's <head> injection — pointed at this page. It shares the
+        //    booted heap until the page writes it, one chunk at a time.
         let realm = self.realm(url);
         let mut interp = realm.interp.clone();
         let log = Rc::new(RefCell::new(FeatureLog::new()));

@@ -234,13 +234,16 @@ fn inline_frame_scripts_run_at_the_current_virtual_time() {
 
 /// Page code that tampers with everything a shared realm could leak: a
 /// singleton's method (page code cannot name `Document.prototype`, so it
-/// shadows `createElement` on `document`), a prototype method, singleton
-/// properties, globals.
+/// shadows `createElement` on `document`), prototype methods and
+/// properties, singleton properties (`location` is rebound per page),
+/// globals.
 const DIRTY: &str = r#"<html><body><script>
   document.createElement = function(tag) { return 7; };
   Node.prototype.appendChild = function(child) { return 0; };
+  Element.prototype.leakedProto = 5;
   window.dirty = 1;
   navigator.dirty = 2;
+  location.leaked = 6;
   var leaked = 3;
   function leakedFn() { return 4; }
 </script></body></html>"#;
@@ -301,6 +304,8 @@ fn page_code_cannot_leak_into_the_next_page() {
     assert_eq!(eval(&mut dirty, "document.createElement('p');"), "7");
     assert_eq!(eval(&mut dirty, "document.body.appendChild(1);"), "0");
     assert_eq!(eval(&mut dirty, "typeof leaked;"), "number");
+    assert_eq!(eval(&mut dirty, "document.body.leakedProto;"), "5");
+    assert_eq!(eval(&mut dirty, "location.leaked;"), "6");
     assert_eq!(count(&dirty, "Document.prototype.createElement"), 0);
 
     // ...and on none after it.
@@ -314,6 +319,8 @@ fn page_code_cannot_leak_into_the_next_page() {
         "typeof leakedFn;",
         "typeof window.dirty;",
         "typeof navigator.dirty;",
+        "typeof document.body.leakedProto;",
+        "typeof location.leaked;",
     ] {
         assert_eq!(eval(&mut clean, probe), "undefined", "{probe}");
     }

@@ -62,7 +62,7 @@ impl CrawlPlanner {
             if out.len() >= count {
                 break;
             }
-            // Avoid two picks with the same *new* signature in one batch.
+            // No two picks in one batch share a signature, novel or seen.
             if out.iter().any(|p| signature(p) == signature(u)) {
                 continue;
             }

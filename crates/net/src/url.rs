@@ -45,9 +45,10 @@ impl Url {
         if scheme != "http" && scheme != "https" {
             return Err(UrlError(format!("unsupported scheme {scheme:?}")));
         }
-        // Strip fragment first: it never reaches the network.
+        // Strip fragment first: it never reaches the network. The authority
+        // then ends at the path or, when there is none, at the query.
         let rest = rest.split('#').next().unwrap_or(rest);
-        let (authority, path_query) = match rest.find('/') {
+        let (authority, path_query) = match rest.find(['/', '?']) {
             Some(i) => (&rest[..i], &rest[i..]),
             None => (rest, "/"),
         };
@@ -295,6 +296,21 @@ mod tests {
     fn bare_host_gets_root_path() {
         let u = Url::parse("http://example.com").unwrap();
         assert_eq!(u.path(), "/");
+    }
+
+    #[test]
+    fn query_or_port_right_after_the_host() {
+        let u = Url::parse("http://a.com?q=1").unwrap();
+        assert_eq!((u.host(), u.path(), u.query()), ("a.com", "/", Some("q=1")));
+        assert_eq!(u.to_string(), "http://a.com/?q=1");
+        let u = Url::parse("http://a.com:8080?q").unwrap();
+        assert_eq!(u.port(), Some(8080));
+        assert_eq!((u.path(), u.query()), ("/", Some("q")));
+        let base = Url::parse("https://a.com/x/y").unwrap();
+        assert_eq!(
+            base.join("//b.com?q=1").unwrap().to_string(),
+            "https://b.com/?q=1"
+        );
     }
 
     #[test]

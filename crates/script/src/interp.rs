@@ -90,17 +90,22 @@ enum Flow {
 
 /// The interpreter: heap, scopes, natives, and fuel.
 ///
-/// Cloning copies the whole realm (heap, scopes, globals) and shares the
-/// native table, so an embedder can build an expensive realm once and start
-/// many independent runs from copies of it. A native that must act on
-/// per-run state reaches it through [`Interpreter::host`], never through its
-/// own captures, or every copy would act on the same state.
+/// Cloning starts an independent run from the same realm, so an embedder
+/// can build an expensive realm once and start many runs from clones of it.
+/// A clone shares the heap's chunks copy-on-write (see [`Heap`]) and the
+/// native table, and copies the scopes (globals included). Each side copies
+/// a heap chunk the first time it writes one, and the native table the
+/// first time it registers a native, so neither ever sees the other's
+/// writes. A native that must act on per-run state reaches it through
+/// [`Interpreter::host`], never through its own captures, or every clone
+/// would act on the same state.
 #[derive(Clone)]
 pub struct Interpreter {
     /// The object heap (public: the embedder builds prototypes directly).
     pub heap: Heap,
     pub(crate) envs: Vec<Env>,
-    natives: Vec<NativeFn>,
+    /// Shared between clones until one registers a native.
+    natives: Rc<Vec<NativeFn>>,
     pub(crate) global: EnvId,
     pub(crate) fuel: u64,
     depth: u32,
@@ -137,7 +142,7 @@ impl Interpreter {
         let mut interp = Interpreter {
             heap: Heap::new(),
             envs: Vec::new(),
-            natives: Vec::new(),
+            natives: Rc::default(),
             global: EnvId::new(0),
             fuel: DEFAULT_FUEL,
             depth: 0,
@@ -202,7 +207,7 @@ impl Interpreter {
         // Native counts are embedder-bounded (a few thousand); saturating
         // keeps this total without a panic path.
         let idx = u32::try_from(self.natives.len()).unwrap_or(u32::MAX);
-        self.natives.push(f);
+        Rc::make_mut(&mut self.natives).push(f);
         self.heap.alloc_callable(Callable::Native(idx), None)
     }
 

@@ -15,6 +15,7 @@ use crate::ast::FunctionDef;
 use crate::value::Value;
 use bfu_util::{define_id, Atom};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 define_id!(
@@ -95,10 +96,27 @@ pub struct Object {
     pub host_tag: Option<u64>,
 }
 
+/// log2 of the number of objects per heap chunk.
+const CHUNK_BITS: u32 = 6;
+/// Objects per heap chunk.
+const CHUNK: usize = 1 << CHUNK_BITS;
+
 /// The object heap.
+///
+/// Objects live in fixed-size chunks of `CHUNK` objects, each behind an
+/// `Rc`. Cloning a heap copies only the chunk pointers, so the clone and the
+/// original share every object. The first write to a shared chunk
+/// ([`Heap::get_mut`], or [`Heap::alloc`] into a partly filled last chunk)
+/// copies that chunk alone, so an embedder that starts many runs from one
+/// booted heap pays per run only for the chunks the run writes. Object ids
+/// are allocation indices either way: chunking changes neither ids nor
+/// allocation order nor [`Heap::len`].
 #[derive(Debug, Default, Clone)]
 pub struct Heap {
-    objects: Vec<Object>,
+    /// Every chunk but the last is full.
+    chunks: Vec<Rc<Vec<Object>>>,
+    /// Objects allocated so far.
+    len: usize,
 }
 
 impl Heap {
@@ -109,44 +127,56 @@ impl Heap {
 
     /// Allocate a plain object with the given prototype.
     pub fn alloc(&mut self, proto: Option<ObjId>) -> ObjId {
-        let id = ObjId::from_usize(self.objects.len());
-        self.objects.push(Object {
+        let id = ObjId::from_usize(self.len);
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Rc::new(Vec::with_capacity(CHUNK)));
+        }
+        let last = self.chunks.len() - 1;
+        let chunk = Rc::make_mut(&mut self.chunks[last]);
+        // A partial chunk copied from a shared one holds only its objects;
+        // reserve the rest of the chunk at once rather than push by push.
+        chunk.reserve_exact(CHUNK - chunk.len());
+        chunk.push(Object {
             proto,
             ..Object::default()
         });
+        self.len += 1;
         id
     }
 
     /// Allocate a callable object.
     pub fn alloc_callable(&mut self, callable: Callable, proto: Option<ObjId>) -> ObjId {
         let id = self.alloc(proto);
-        self.objects[id.index()].callable = Some(callable);
+        self.get_mut(id).callable = Some(callable);
         id
     }
 
     /// Borrow an object.
     pub fn get(&self, id: ObjId) -> &Object {
-        &self.objects[id.index()]
+        let i = id.index();
+        &self.chunks[i >> CHUNK_BITS][i & (CHUNK - 1)]
     }
 
-    /// Mutably borrow an object.
+    /// Mutably borrow an object. Copies the object's chunk first if another
+    /// heap still shares it.
     pub fn get_mut(&mut self, id: ObjId) -> &mut Object {
-        &mut self.objects[id.index()]
+        let i = id.index();
+        &mut Rc::make_mut(&mut self.chunks[i >> CHUNK_BITS])[i & (CHUNK - 1)]
     }
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.len
     }
 
     /// Whether the heap is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len == 0
     }
 
     /// Whether an object is callable.
     pub fn is_callable(&self, id: ObjId) -> bool {
-        self.objects[id.index()].callable.is_some()
+        self.get(id).callable.is_some()
     }
 
     /// Read a property by atom, walking the prototype chain. `Undefined` if
@@ -156,10 +186,11 @@ impl Heap {
         let mut cur = Some(id);
         let mut hops = 0;
         while let Some(o) = cur {
-            if let Some(v) = self.objects[o.index()].props.get(&key) {
+            let obj = self.get(o);
+            if let Some(v) = obj.props.get(&key) {
                 return v.clone();
             }
-            cur = self.objects[o.index()].proto;
+            cur = obj.proto;
             hops += 1;
             if hops > 64 {
                 break; // defensive: cyclic prototype chains
@@ -183,10 +214,11 @@ impl Heap {
         let mut cur = Some(id);
         let mut hops = 0;
         while let Some(o) = cur {
-            if self.objects[o.index()].props.contains_key(&key) {
+            let obj = self.get(o);
+            if obj.props.contains_key(&key) {
                 return Some(o);
             }
-            cur = self.objects[o.index()].proto;
+            cur = obj.proto;
             hops += 1;
             if hops > 64 {
                 break;
@@ -203,7 +235,7 @@ impl Heap {
     /// Write an own property by atom **without** firing watchpoints.
     /// Returns the old own value.
     pub fn set_prop_raw_atom(&mut self, id: ObjId, key: Atom, value: Value) -> Value {
-        self.objects[id.index()]
+        self.get_mut(id)
             .props
             .insert(key, value)
             .unwrap_or(Value::Undefined)
@@ -223,7 +255,7 @@ impl Heap {
     /// machinery). The write itself always happens.
     pub fn set_prop_atom(&mut self, id: ObjId, key: Atom, value: Value) -> (Value, Option<ObjId>) {
         let old = self.set_prop_raw_atom(id, key, value);
-        let handler = self.objects[id.index()].watch_all;
+        let handler = self.get(id).watch_all;
         (old, handler)
     }
 
@@ -235,22 +267,18 @@ impl Heap {
 
     /// Install a watch handler on `id` (fires for every property write).
     pub fn watch(&mut self, id: ObjId, handler: ObjId) {
-        self.objects[id.index()].watch_all = Some(handler);
+        self.get_mut(id).watch_all = Some(handler);
     }
 
     /// Remove the watch handler.
     pub fn unwatch(&mut self, id: ObjId) {
-        self.objects[id.index()].watch_all = None;
+        self.get_mut(id).watch_all = None;
     }
 
     /// Own property names (sorted by *string*, for deterministic iteration —
     /// atom ids are scheduling-dependent and must never drive ordering).
     pub fn own_keys(&self, id: ObjId) -> Vec<&'static str> {
-        let mut keys: Vec<&'static str> = self.objects[id.index()]
-            .props
-            .keys()
-            .map(|a| a.as_str())
-            .collect();
+        let mut keys: Vec<&'static str> = self.get(id).props.keys().map(|a| a.as_str()).collect();
         keys.sort_unstable();
         keys
     }
@@ -326,6 +354,95 @@ mod tests {
         heap.set_prop_raw(o, "b", Value::Num(1.0));
         heap.set_prop_raw(o, "a", Value::Num(2.0));
         assert_eq!(heap.own_keys(o), vec!["a", "b"]);
+    }
+
+    /// A heap of three full chunks and a half-filled fourth, each object
+    /// tagged with its own id.
+    fn chunked_heap() -> Heap {
+        let mut heap = Heap::new();
+        for i in 0..3 * CHUNK + CHUNK / 2 {
+            let id = heap.alloc(None);
+            assert_eq!(id.index(), i);
+            heap.set_prop_raw(id, "n", Value::Num(i as f64));
+        }
+        assert_eq!(heap.chunks.len(), 4);
+        heap
+    }
+
+    fn shared(a: &Heap, b: &Heap) -> Vec<bool> {
+        a.chunks
+            .iter()
+            .zip(&b.chunks)
+            .map(|(x, y)| Rc::ptr_eq(x, y))
+            .collect()
+    }
+
+    fn num(heap: &Heap, id: ObjId, key: &str) -> f64 {
+        match heap.get_prop(id, key) {
+            Value::Num(n) => n,
+            other => panic!("{key} on {id:?} is {other:?}"),
+        }
+    }
+
+    #[test]
+    fn clone_shares_every_chunk() {
+        let heap = chunked_heap();
+        let copy = heap.clone();
+        assert_eq!(copy.len(), heap.len());
+        assert_eq!(shared(&heap, &copy), vec![true; 4]);
+    }
+
+    #[test]
+    fn write_on_clone_unshares_only_that_chunk() {
+        let heap = chunked_heap();
+        let mut copy = heap.clone();
+        let target = ObjId::from_usize(CHUNK + 5);
+        copy.set_prop_raw(target, "n", Value::Num(-1.0));
+        assert_eq!(shared(&heap, &copy), vec![true, false, true, true]);
+        assert_eq!(num(&copy, target, "n"), -1.0);
+        assert_eq!(num(&heap, target, "n"), (CHUNK + 5) as f64);
+        // A second write to the now-private chunk copies nothing more.
+        copy.watch(ObjId::from_usize(CHUNK), target);
+        assert_eq!(shared(&heap, &copy), vec![true, false, true, true]);
+        assert_eq!(heap.get(ObjId::from_usize(CHUNK)).watch_all, None);
+    }
+
+    #[test]
+    fn alloc_on_clone_leaves_the_original_partial_chunk() {
+        let heap = chunked_heap();
+        let before = heap.chunks[3].len();
+        let mut copy = heap.clone();
+        let id = copy.alloc(Some(ObjId::new(0)));
+        assert_eq!(id.index(), heap.len());
+        assert_eq!(copy.len(), heap.len() + 1);
+        assert_eq!(heap.len(), 3 * CHUNK + CHUNK / 2);
+        assert_eq!(heap.chunks[3].len(), before);
+        assert_eq!(shared(&heap, &copy), vec![true, true, true, false]);
+        // The new object inherits through a shared chunk.
+        assert_eq!(num(&copy, id, "n"), 0.0);
+
+        // Filling the clone past the chunk boundary starts a fresh chunk;
+        // the shared full chunks stay shared.
+        for _ in 0..CHUNK {
+            copy.alloc(None);
+        }
+        assert_eq!(copy.chunks.len(), 5);
+        assert_eq!(shared(&heap, &copy), vec![true, true, true, false]);
+        assert_eq!(heap.chunks.len(), 4);
+    }
+
+    #[test]
+    fn writes_to_the_original_do_not_reach_the_clone() {
+        let mut heap = chunked_heap();
+        let copy = heap.clone();
+        let first = ObjId::new(0);
+        heap.set_prop_raw(first, "n", Value::Num(99.0));
+        heap.get_mut(first).host_tag = Some(7);
+        let added = heap.alloc(None);
+        assert_eq!(num(&copy, first, "n"), 0.0);
+        assert_eq!(copy.get(first).host_tag, None);
+        assert_eq!(copy.len(), added.index());
+        assert_eq!(shared(&heap, &copy), vec![false, true, true, false]);
     }
 
     #[test]

@@ -116,6 +116,43 @@ fn prototype_chain_method_lookup() {
 }
 
 #[test]
+fn a_clone_shares_the_realm_but_never_the_writes() {
+    // An embedder boots a realm once and starts each run from a clone of it
+    // (the browser does this per page). Whatever the clone patches, binds,
+    // allocates or registers stays in the clone.
+    let mut base = Interpreter::new();
+    let proto = base.heap.alloc(None);
+    let m = base.register_native(Rc::new(|_, _, _| Ok(Value::Num(1.0))));
+    base.heap.set_prop_raw(proto, "probe", m);
+    let ctor = base.register_native(Rc::new(|_, _, _| Ok(Value::Undefined)));
+    base.heap
+        .set_prop_raw(ctor.as_obj().unwrap(), "prototype", Value::Obj(proto));
+    base.set_global("Widget", ctor);
+    base.set_global("mode", Value::str("booted"));
+    base.run_source("var w = new Widget();").unwrap();
+    let len = base.heap.len();
+
+    let mut page = base.clone();
+    let patched = page.register_native(Rc::new(|_, _, _| Ok(Value::Num(42.0))));
+    page.heap.set_prop_raw(proto, "probe", patched);
+    page.set_global("mode", Value::str("page"));
+    page.run_source("var junk = []; for (var k = 0; k < 300; k++) { junk[k] = {}; }")
+        .unwrap();
+    assert!(page.heap.len() > len + 300);
+    let fresh = page.register_native(Rc::new(|_, _, args| Ok(Value::Num(args.len() as f64))));
+    page.set_global("fresh", fresh);
+    assert_eq!(page.run_source("w.probe();").unwrap().to_number(), 42.0);
+    assert_eq!(page.run_source("fresh(1, 2, 3);").unwrap().to_number(), 3.0);
+
+    assert_eq!(base.heap.len(), len);
+    assert!(format!("{base:?}").contains("natives: 2"), "{base:?}");
+    assert_eq!(base.get_global("mode").to_display(), "booted");
+    assert!(matches!(base.get_global("junk"), Value::Undefined));
+    assert!(matches!(base.get_global("fresh"), Value::Undefined));
+    assert_eq!(base.run_source("w.probe();").unwrap().to_number(), 1.0);
+}
+
+#[test]
 fn closures_capture_originals_after_patching() {
     // The extension keeps the original method reachable only through its
     // wrapper's closure; page code cannot recover it. Model that in-language.
