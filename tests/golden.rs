@@ -265,6 +265,35 @@ fn script_front_end_is_pinned() {
             "setTimeout(function() {{ var x = {open}1{close}; }}, 1);"
         ));
     }
+    // Literal values, each at the top level, in a function body and in a
+    // function expression nested in a body: object keys of every kind,
+    // numbers (a 400-digit run reads as infinity) and escaped strings.
+    let literals = [
+        r#"var o = { a: 1, 'b c': 2, "d\"e": 3, 4: x, 1.5: y, 2.: z };"#.to_string(),
+        format!("var n = [1., 0.5, {}];", "9".repeat(400)),
+        r"var s = ['a\nb', 'c\td', 'e\'f', '\é', 'a\日b'];".to_string(),
+    ];
+    for literal in &literals {
+        sources.push(literal.clone());
+        sources.push(format!("function f() {{ {literal} }}"));
+        sources.push(format!(
+            "function f() {{ return function() {{ {literal} }}; }}"
+        ));
+    }
+    // Errors whose message prints a token: a number, a keyword, an
+    // identifier, an operator, a string, and one inside a body.
+    sources.extend(
+        [
+            "var 1;",
+            "var if = 1;",
+            "var x = 1 y;",
+            "var o = { [x]: 1 };",
+            "x = 'a' 'b';",
+            "var t = typeof;",
+            "function f() { var = 'é'; }",
+        ]
+        .map(String::from),
+    );
     let mut digest = Fnv64::new();
     let mut errors = 0;
     for src in &sources {
@@ -275,7 +304,7 @@ fn script_front_end_is_pinned() {
     let got = (sources.len(), errors, digest.finish());
     assert_eq!(
         got,
-        (452, 21, 0xc02f_0f0d_aa6c_1e84),
+        (468, 28, 0x37f1_dd14_61cc_02bf),
         "script front end: (sources, parse errors, digest) = ({}, {}, {:#018x})",
         got.0,
         got.1,
