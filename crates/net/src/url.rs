@@ -59,6 +59,8 @@ impl Url {
             return Err(UrlError("userinfo not supported".into()));
         }
         let (host, port) = match authority.rsplit_once(':') {
+            // An empty port is the scheme's default, as if it were absent.
+            Some((h, "")) => (h, None),
             Some((h, p)) => {
                 let port: u16 = p.parse().map_err(|_| UrlError(format!("bad port {p:?}")))?;
                 (h, Some(port))
@@ -199,8 +201,10 @@ impl Url {
     }
 }
 
-/// Registrable domain of a bare host string (last two labels).
+/// Registrable domain of a bare host string (last two labels). Trailing
+/// dots are dropped first: `www.a.com.` names the same site as `www.a.com`.
 pub fn registrable_domain_of(host: &str) -> &str {
+    let host = host.trim_end_matches('.');
     let mut dots = 0;
     for (i, b) in host.bytes().enumerate().rev() {
         if b == b'.' {
@@ -311,6 +315,14 @@ mod tests {
             base.join("//b.com?q=1").unwrap().to_string(),
             "https://b.com/?q=1"
         );
+        // An empty port is the scheme's default.
+        let u = Url::parse("http://a.com:/x").unwrap();
+        assert_eq!((u.port(), u.effective_port()), (None, 80));
+        assert_eq!(u.to_string(), "http://a.com/x");
+        assert_eq!(
+            base.join("//b.com:/x").unwrap().to_string(),
+            "https://b.com/x"
+        );
     }
 
     #[test]
@@ -399,6 +411,10 @@ mod tests {
         assert_eq!(registrable_domain_of("localhost"), "localhost");
         assert_eq!(registrable_domain_of("a.b"), "a.b");
         assert_eq!(registrable_domain_of("x.y.z.w"), "z.w");
+        assert_eq!(registrable_domain_of("www.a.com."), "a.com");
+        let dotted = Url::parse("http://www.a.com./x").unwrap();
+        assert!(!dotted.is_third_party_to(&Url::parse("http://www.a.com/x").unwrap()));
+        assert!(dotted.is_third_party_to(&Url::parse("http://b.com./x").unwrap()));
     }
 
     #[test]

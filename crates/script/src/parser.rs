@@ -9,10 +9,17 @@
 //! reads each function body with the checker, so a syntax error anywhere
 //! still fails the parse, and keeps the body as an [`ast::Body`](Body)
 //! whose statements are built on its first use.
+//!
+//! Tokens carry no values. The tree builder reads a name, number or string
+//! from the source when it builds the node that holds it, and resolves
+//! names through a map of its own parse, so the process-wide atom table
+//! (behind an `RwLock` every crawl thread shares) is consulted once per
+//! distinct name. The checker reads no value at all.
 
 use crate::ast::*;
-use crate::token::{lex, lex_at, Keyword, LexError, SpannedTok, Tok};
+use crate::token::{lex, lex_at, Keyword, Kind, LexError, Op, Tok, Token};
 use bfu_util::Atom;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -55,27 +62,20 @@ pub(crate) fn parse_shared(text: &str, shared: &Arc<[u8]>) -> Result<Program, Pa
 }
 
 fn parse_source(text: &str, shared: Option<&Arc<[u8]>>) -> Result<Program, ParseError> {
-    let program = |toks, eager| {
-        let mut p = Parser {
-            toks,
-            pos: 0,
-            depth: 0,
-            text,
-            shared: shared.cloned(),
-            eager,
-        };
+    let toks = lex(text).map_err(lex_error)?;
+    let program = |eager| {
+        let mut p = Parser::new(&toks, text, 0, 0, shared.cloned());
+        p.eager = eager;
         let mut body = Vec::new();
         while p.peek().is_some() {
             body.push(p.statement::<Tree>()?);
         }
         Ok(Program { body })
     };
-    program(lex(text).map_err(lex_error)?, false).or_else(|_| {
-        // The checker has no tree to print in its errors, so a failed
-        // parse runs again with every body built, and reports the tree
-        // builder's own message and line. Only malformed sources pay.
-        program(lex(text).map_err(lex_error)?, true)
-    })
+    // The checker has no tree to print in its errors, so a failed parse
+    // runs again with every body built, and reports the tree builder's own
+    // message and line. Only malformed sources pay.
+    program(false).or_else(|_| program(true))
 }
 
 /// The statements of the function body at `span` of `src`, opened on
@@ -86,18 +86,12 @@ pub(crate) fn parse_body(src: &Arc<[u8]>, span: Range<u32>, line: u32, depth: u3
         let bytes = src.get(span.start as usize..span.end as usize);
         let text = std::str::from_utf8(bytes.ok_or("span outside the source")?)
             .map_err(|e| e.to_string())?;
-        let mut p = Parser {
-            toks: lex_at(text, line, span.start).map_err(|e| e.to_string())?,
-            pos: 0,
-            depth,
-            text,
-            shared: Some(Arc::clone(src)),
-            eager: false,
-        };
+        let toks = lex_at(text, line, span.start).map_err(|e| e.to_string())?;
+        let mut p = Parser::new(&toks, text, span.start, depth, Some(Arc::clone(src)));
         let stmts = p.block::<Tree>().map_err(|e| e.to_string())?;
         match p.peek() {
             None => Ok(stmts),
-            Some(tok) => Err(format!("{tok:?} after the body")),
+            Some(kind) => Err(format!("{kind:?} after the body")),
         }
     })();
     parsed.unwrap_or_else(|e| panic!("bug: a checked function body failed to parse: {e}"))
@@ -110,24 +104,27 @@ enum Infix {
     Binary(BinOp),
 }
 
-/// The binary operators with their precedence, loosest first.
-const BINARY: [(&str, u8, Infix); 15] = [
-    ("||", 0, Infix::Logical(LogicalOp::Or)),
-    ("&&", 1, Infix::Logical(LogicalOp::And)),
-    ("==", 2, Infix::Binary(BinOp::Eq)),
-    ("!=", 2, Infix::Binary(BinOp::Ne)),
-    ("===", 2, Infix::Binary(BinOp::StrictEq)),
-    ("!==", 2, Infix::Binary(BinOp::StrictNe)),
-    ("<", 3, Infix::Binary(BinOp::Lt)),
-    ("<=", 3, Infix::Binary(BinOp::Le)),
-    (">", 3, Infix::Binary(BinOp::Gt)),
-    (">=", 3, Infix::Binary(BinOp::Ge)),
-    ("+", 4, Infix::Binary(BinOp::Add)),
-    ("-", 4, Infix::Binary(BinOp::Sub)),
-    ("*", 5, Infix::Binary(BinOp::Mul)),
-    ("/", 5, Infix::Binary(BinOp::Div)),
-    ("%", 5, Infix::Binary(BinOp::Rem)),
-];
+/// The node binary operator `op` builds and its precedence, loosest 0.
+fn infix(op: Op) -> Option<(u8, Infix)> {
+    Some(match op {
+        Op::Or => (0, Infix::Logical(LogicalOp::Or)),
+        Op::And => (1, Infix::Logical(LogicalOp::And)),
+        Op::Eq => (2, Infix::Binary(BinOp::Eq)),
+        Op::Ne => (2, Infix::Binary(BinOp::Ne)),
+        Op::StrictEq => (2, Infix::Binary(BinOp::StrictEq)),
+        Op::StrictNe => (2, Infix::Binary(BinOp::StrictNe)),
+        Op::Lt => (3, Infix::Binary(BinOp::Lt)),
+        Op::Le => (3, Infix::Binary(BinOp::Le)),
+        Op::Gt => (3, Infix::Binary(BinOp::Gt)),
+        Op::Ge => (3, Infix::Binary(BinOp::Ge)),
+        Op::Add => (4, Infix::Binary(BinOp::Add)),
+        Op::Sub => (4, Infix::Binary(BinOp::Sub)),
+        Op::Mul => (5, Infix::Binary(BinOp::Mul)),
+        Op::Div => (5, Infix::Binary(BinOp::Div)),
+        Op::Rem => (5, Infix::Binary(BinOp::Rem)),
+        _ => return None,
+    })
+}
 
 /// Maximum grammar-recursion depth. Each level costs about ten native
 /// stack frames (assignment down to primary), so this bounds parser stack
@@ -139,6 +136,8 @@ const MAX_PARSE_DEPTH: u32 = 128;
 trait Build {
     type Expr: fmt::Debug;
     type Stmt;
+    /// A variable, parameter, property or object-key name.
+    type Name;
     /// An assignment or `++`/`--` target.
     type Place;
     /// A function definition.
@@ -146,9 +145,15 @@ trait Build {
     /// A sequence of nodes.
     type List<T>: Default + Extend<T> + FromIterator<T>;
 
-    /// A node with no children: a literal, an identifier or `this`.
+    /// The name identifier token `t` spells.
+    fn name(p: &mut Parser<'_>, t: Token) -> Self::Name;
+    /// The object key an identifier, string or number token spells.
+    fn key(p: &mut Parser<'_>, t: Token) -> Self::Name;
+    /// The expression an identifier, number or string token stands for.
+    fn value(p: &mut Parser<'_>, t: Token) -> Self::Expr;
+    /// A node with no children: a keyword literal or `this`.
     fn leaf(e: Expr) -> Self::Expr;
-    fn member(obj: Self::Expr, prop: Atom) -> Self::Expr;
+    fn member(obj: Self::Expr, prop: Self::Name) -> Self::Expr;
     fn index(obj: Self::Expr, key: Self::Expr) -> Self::Expr;
     /// A call, or with `new` a construction.
     fn call(callee: Self::Expr, args: Self::List<Self::Expr>, new: bool) -> Self::Expr;
@@ -159,16 +164,16 @@ trait Build {
     fn infix(op: Infix, lhs: Self::Expr, rhs: Self::Expr) -> Self::Expr;
     fn unary(op: UnaryOp, expr: Self::Expr) -> Self::Expr;
     fn cond(cond: Self::Expr, then: Self::Expr, otherwise: Self::Expr) -> Self::Expr;
-    fn object(props: Self::List<(Atom, Self::Expr)>) -> Self::Expr;
+    fn object(props: Self::List<(Self::Name, Self::Expr)>) -> Self::Expr;
     fn array(items: Self::List<Self::Expr>) -> Self::Expr;
     fn function_expr(def: Self::Func) -> Self::Expr;
     /// Read a function's `{ … }` body and define the function.
     fn function(
         p: &mut Parser<'_>,
-        name: Option<Atom>,
-        params: Self::List<Atom>,
+        name: Option<Self::Name>,
+        params: Self::List<Self::Name>,
     ) -> Result<Self::Func, ParseError>;
-    fn var(name: Atom, init: Option<Self::Expr>) -> Self::Stmt;
+    fn var(name: Self::Name, init: Option<Self::Expr>) -> Self::Stmt;
     fn function_decl(def: Self::Func) -> Self::Stmt;
     fn ret(value: Option<Self::Expr>) -> Self::Stmt;
     fn if_else(
@@ -195,10 +200,28 @@ struct Tree;
 impl Build for Tree {
     type Expr = Expr;
     type Stmt = Stmt;
+    type Name = Atom;
     type Place = Place;
     type Func = Arc<FunctionDef>;
     type List<T> = Vec<T>;
 
+    fn name(p: &mut Parser<'_>, t: Token) -> Atom {
+        p.atom(t)
+    }
+    fn key(p: &mut Parser<'_>, t: Token) -> Atom {
+        match t.kind {
+            Kind::Str => Atom::intern(&p.string(t)),
+            Kind::Num => Atom::intern(&format!("{}", p.number(t))),
+            _ => p.atom(t),
+        }
+    }
+    fn value(p: &mut Parser<'_>, t: Token) -> Expr {
+        match t.kind {
+            Kind::Str => Expr::Str(p.string(t)),
+            Kind::Num => Expr::Num(p.number(t)),
+            _ => Expr::Ident(p.atom(t)),
+        }
+    }
     fn leaf(e: Expr) -> Expr {
         e
     }
@@ -325,9 +348,10 @@ impl Build for Tree {
     }
 }
 
-/// Builds nothing: accepts exactly what [`Tree`] accepts. An expression is
-/// only whether it can be assigned to, the one property of a tree the
-/// grammar tests; parentheses pass it through, as they pass `Tree`'s node.
+/// Builds nothing and reads no token's value: accepts exactly what
+/// [`Tree`] accepts. An expression is only whether it can be assigned to,
+/// the one property of a tree the grammar tests; parentheses pass it
+/// through, as they pass `Tree`'s node.
 struct Check;
 
 /// A list that keeps nothing.
@@ -350,14 +374,20 @@ impl<T> FromIterator<T> for Nothing {
 impl Build for Check {
     type Expr = bool;
     type Stmt = ();
+    type Name = ();
     type Place = ();
     type Func = ();
     type List<T> = Nothing;
 
-    fn leaf(e: Expr) -> bool {
-        matches!(e, Expr::Ident(_))
+    fn name(_: &mut Parser<'_>, _: Token) {}
+    fn key(_: &mut Parser<'_>, _: Token) {}
+    fn value(_: &mut Parser<'_>, t: Token) -> bool {
+        t.kind == Kind::Ident
     }
-    fn member(_: bool, _: Atom) -> bool {
+    fn leaf(_: Expr) -> bool {
+        false
+    }
+    fn member(_: bool, _: ()) -> bool {
         true
     }
     fn index(_: bool, _: bool) -> bool {
@@ -393,10 +423,10 @@ impl Build for Check {
     fn function_expr(_: ()) -> bool {
         false
     }
-    fn function(p: &mut Parser<'_>, _: Option<Atom>, _: Nothing) -> Result<(), ParseError> {
+    fn function(p: &mut Parser<'_>, _: Option<()>, _: Nothing) -> Result<(), ParseError> {
         p.block::<Check>().map(drop)
     }
-    fn var(_: Atom, _: Option<bool>) {}
+    fn var(_: (), _: Option<bool>) {}
     fn function_decl(_: ()) {}
     fn ret(_: Option<bool>) {}
     fn if_else(_: bool, _: Nothing, _: Nothing) {}
@@ -413,7 +443,7 @@ fn push<T>(list: &mut impl Extend<T>, item: T) {
 }
 
 struct Parser<'a> {
-    toks: Vec<SpannedTok>,
+    toks: &'a [Token],
     pos: usize,
     /// Current grammar-recursion depth (statements, expressions, unary
     /// chains). Deeply nested hostile source (`((((…`, `[[[[…`, `!!!!…`)
@@ -421,6 +451,12 @@ struct Parser<'a> {
     depth: u32,
     /// The text being parsed.
     text: &'a str,
+    /// Byte offset of `text` in the whole source, which token offsets
+    /// count from.
+    base: u32,
+    /// The atom of each name the tree builder has read. The default
+    /// hasher, because script text is outside input.
+    atoms: HashMap<&'a str, Atom>,
     /// The whole source function bodies are spans of: the caller's
     /// allocation, or a copy of `text` made at the first function.
     shared: Option<Arc<[u8]>>,
@@ -429,7 +465,28 @@ struct Parser<'a> {
     eager: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A parser over `toks`, lexed from `text`, which starts at byte `base`
+    /// of the whole source and is read at grammar `depth`.
+    fn new(
+        toks: &'a [Token],
+        text: &'a str,
+        base: u32,
+        depth: u32,
+        shared: Option<Arc<[u8]>>,
+    ) -> Parser<'a> {
+        Parser {
+            toks,
+            pos: 0,
+            depth,
+            text,
+            base,
+            atoms: HashMap::new(),
+            shared,
+            eager: false,
+        }
+    }
+
     fn enter(&mut self) -> Result<(), ParseError> {
         if self.depth >= MAX_PARSE_DEPTH {
             return Err(self.err("nesting too deep"));
@@ -437,8 +494,9 @@ impl Parser<'_> {
         self.depth += 1;
         Ok(())
     }
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+
+    fn peek(&self) -> Option<Kind> {
+        self.toks.get(self.pos).map(|t| t.kind)
     }
 
     fn line(&self) -> u32 {
@@ -460,12 +518,71 @@ impl Parser<'_> {
         )
     }
 
-    /// Move the current token out: the parser never reads a consumed token
-    /// again, only its line.
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.toks.get_mut(self.pos);
+    /// The current token; the parser moves past it.
+    fn bump(&mut self) -> Option<Token> {
+        let t = self.toks.get(self.pos).copied();
         self.pos += 1;
-        t.map(|t| std::mem::replace(&mut t.tok, Tok::Op("")))
+        t
+    }
+
+    // ---- token values, read from the source ----
+
+    /// The source text of `t`.
+    fn slice(&self, t: Token) -> &'a str {
+        let start = (t.offset - self.base) as usize;
+        &self.text[start..start + t.len as usize]
+    }
+
+    /// The atom of identifier `t`.
+    fn atom(&mut self, t: Token) -> Atom {
+        let name = self.slice(t);
+        *self.atoms.entry(name).or_insert_with(|| Atom::intern(name))
+    }
+
+    /// The value of number `t`. The lexer admits a digit run with at most
+    /// one `.`, and every such text parses.
+    fn number(&self, t: Token) -> f64 {
+        let text = self.slice(t);
+        text.parse()
+            .unwrap_or_else(|_| panic!("bug: the lexer admitted the number {text:?}"))
+    }
+
+    /// The value of string `t`: its text between the quotes, with `\n` and
+    /// `\t` mapped and any other escaped character standing for itself.
+    fn string(&self, t: Token) -> String {
+        let quoted = self.slice(t);
+        let mut rest = &quoted[1..quoted.len() - 1];
+        let mut s = String::with_capacity(rest.len());
+        while let Some(k) = rest.find('\\') {
+            s.push_str(&rest[..k]);
+            let mut escaped = rest[k + 1..].chars();
+            // The lexer saw a character after every backslash.
+            s.extend(escaped.next().map(|c| match c {
+                'n' => '\n',
+                't' => '\t',
+                other => other,
+            }));
+            rest = escaped.as_str();
+        }
+        s.push_str(rest);
+        s
+    }
+
+    /// `t` with its value, as an error message prints it.
+    fn tok(&self, t: Option<Token>) -> Option<Tok> {
+        let t = t?;
+        Some(match t.kind {
+            Kind::Ident => Tok::Ident(Atom::intern(self.slice(t))),
+            Kind::Kw(kw) => Tok::Kw(kw),
+            Kind::Num => Tok::Num(self.number(t)),
+            Kind::Str => Tok::Str(self.string(t)),
+            Kind::Op(op) => Tok::Op(op.text()),
+        })
+    }
+
+    /// The current token, as an error message prints it.
+    fn found(&self) -> Option<Tok> {
+        self.tok(self.toks.get(self.pos).copied())
     }
 
     fn err(&self, msg: impl Into<String>) -> ParseError {
@@ -475,8 +592,8 @@ impl Parser<'_> {
         }
     }
 
-    fn eat_op(&mut self, op: &str) -> bool {
-        if matches!(self.peek(), Some(Tok::Op(o)) if *o == op) {
+    fn eat_op(&mut self, op: Op) -> bool {
+        if self.peek() == Some(Kind::Op(op)) {
             self.pos += 1;
             true
         } else {
@@ -484,16 +601,17 @@ impl Parser<'_> {
         }
     }
 
-    fn expect_op(&mut self, op: &str) -> Result<(), ParseError> {
+    fn expect_op(&mut self, op: Op) -> Result<(), ParseError> {
         if self.eat_op(op) {
             Ok(())
         } else {
-            Err(self.err(format!("expected `{op}`, found {:?}", self.peek())))
+            let op = op.text();
+            Err(self.err(format!("expected `{op}`, found {:?}", self.found())))
         }
     }
 
     fn eat_kw(&mut self, kw: Keyword) -> bool {
-        if matches!(self.peek(), Some(Tok::Kw(k)) if *k == kw) {
+        if self.peek() == Some(Kind::Kw(kw)) {
             self.pos += 1;
             true
         } else {
@@ -501,10 +619,13 @@ impl Parser<'_> {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<Atom, ParseError> {
+    fn expect_ident<B: Build>(&mut self) -> Result<B::Name, ParseError> {
         match self.bump() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
+            Some(t) if t.kind == Kind::Ident => Ok(B::name(self, t)),
+            other => {
+                let other = self.tok(other);
+                Err(self.err(format!("expected identifier, found {other:?}")))
+            }
         }
     }
 
@@ -524,41 +645,41 @@ impl Parser<'_> {
 
     fn statement_inner<B: Build>(&mut self) -> Result<B::Stmt, ParseError> {
         match self.peek() {
-            Some(Tok::Kw(Keyword::Var)) => {
+            Some(Kind::Kw(Keyword::Var)) => {
                 self.bump();
-                let name = self.expect_ident()?;
-                let init = if self.eat_op("=") {
+                let name = self.expect_ident::<B>()?;
+                let init = if self.eat_op(Op::Assign) {
                     Some(self.expression::<B>()?)
                 } else {
                     None
                 };
-                self.expect_op(";")?;
+                self.expect_op(Op::Semi)?;
                 Ok(B::var(name, init))
             }
-            Some(Tok::Kw(Keyword::Function)) => {
+            Some(Kind::Kw(Keyword::Function)) => {
                 self.bump();
-                let name = self.expect_ident()?;
+                let name = self.expect_ident::<B>()?;
                 let def = self.function_rest::<B>(Some(name))?;
                 Ok(B::function_decl(def))
             }
-            Some(Tok::Kw(Keyword::Return)) => {
+            Some(Kind::Kw(Keyword::Return)) => {
                 self.bump();
-                let value = if matches!(self.peek(), Some(Tok::Op(";"))) {
+                let value = if self.peek() == Some(Kind::Op(Op::Semi)) {
                     None
                 } else {
                     Some(self.expression::<B>()?)
                 };
-                self.expect_op(";")?;
+                self.expect_op(Op::Semi)?;
                 Ok(B::ret(value))
             }
-            Some(Tok::Kw(Keyword::If)) => {
+            Some(Kind::Kw(Keyword::If)) => {
                 self.bump();
-                self.expect_op("(")?;
+                self.expect_op(Op::LParen)?;
                 let cond = self.expression::<B>()?;
-                self.expect_op(")")?;
+                self.expect_op(Op::RParen)?;
                 let then = self.block_or_single::<B>()?;
                 let otherwise = if self.eat_kw(Keyword::Else) {
-                    if matches!(self.peek(), Some(Tok::Kw(Keyword::If))) {
+                    if self.peek() == Some(Kind::Kw(Keyword::If)) {
                         std::iter::once(self.statement::<B>()?).collect()
                     } else {
                         self.block_or_single::<B>()?
@@ -568,65 +689,65 @@ impl Parser<'_> {
                 };
                 Ok(B::if_else(cond, then, otherwise))
             }
-            Some(Tok::Kw(Keyword::While)) => {
+            Some(Kind::Kw(Keyword::While)) => {
                 self.bump();
-                self.expect_op("(")?;
+                self.expect_op(Op::LParen)?;
                 let cond = self.expression::<B>()?;
-                self.expect_op(")")?;
+                self.expect_op(Op::RParen)?;
                 let body = self.block_or_single::<B>()?;
                 Ok(B::while_loop(cond, body))
             }
-            Some(Tok::Kw(Keyword::For)) => {
+            Some(Kind::Kw(Keyword::For)) => {
                 self.bump();
-                self.expect_op("(")?;
-                let init = if self.eat_op(";") {
+                self.expect_op(Op::LParen)?;
+                let init = if self.eat_op(Op::Semi) {
                     None
-                } else if matches!(self.peek(), Some(Tok::Kw(Keyword::Var))) {
+                } else if self.peek() == Some(Kind::Kw(Keyword::Var)) {
                     Some(self.statement::<B>()?) // consumes its ';'
                 } else {
                     let e = self.expression::<B>()?;
-                    self.expect_op(";")?;
+                    self.expect_op(Op::Semi)?;
                     Some(B::expr(e))
                 };
-                let cond = if self.eat_op(";") {
+                let cond = if self.eat_op(Op::Semi) {
                     None
                 } else {
                     let c = self.expression::<B>()?;
-                    self.expect_op(";")?;
+                    self.expect_op(Op::Semi)?;
                     Some(c)
                 };
-                let update = if matches!(self.peek(), Some(Tok::Op(")"))) {
+                let update = if self.peek() == Some(Kind::Op(Op::RParen)) {
                     None
                 } else {
                     Some(self.expression::<B>()?)
                 };
-                self.expect_op(")")?;
+                self.expect_op(Op::RParen)?;
                 let body = self.block_or_single::<B>()?;
                 Ok(B::for_loop(init, cond, update, body))
             }
-            Some(Tok::Kw(Keyword::Break)) => {
+            Some(Kind::Kw(Keyword::Break)) => {
                 self.bump();
-                self.expect_op(";")?;
+                self.expect_op(Op::Semi)?;
                 Ok(B::jump(Stmt::Break))
             }
-            Some(Tok::Kw(Keyword::Continue)) => {
+            Some(Kind::Kw(Keyword::Continue)) => {
                 self.bump();
-                self.expect_op(";")?;
+                self.expect_op(Op::Semi)?;
                 Ok(B::jump(Stmt::Continue))
             }
-            Some(Tok::Op("{")) => Ok(B::block(self.block::<B>()?)),
+            Some(Kind::Op(Op::LBrace)) => Ok(B::block(self.block::<B>()?)),
             _ => {
                 let e = self.expression::<B>()?;
-                self.expect_op(";")?;
+                self.expect_op(Op::Semi)?;
                 Ok(B::expr(e))
             }
         }
     }
 
     fn block<B: Build>(&mut self) -> Result<B::List<B::Stmt>, ParseError> {
-        self.expect_op("{")?;
+        self.expect_op(Op::LBrace)?;
         let mut stmts = B::List::default();
-        while !self.eat_op("}") {
+        while !self.eat_op(Op::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unterminated block"));
             }
@@ -636,23 +757,23 @@ impl Parser<'_> {
     }
 
     fn block_or_single<B: Build>(&mut self) -> Result<B::List<B::Stmt>, ParseError> {
-        if matches!(self.peek(), Some(Tok::Op("{"))) {
+        if self.peek() == Some(Kind::Op(Op::LBrace)) {
             self.block::<B>()
         } else {
             Ok(std::iter::once(self.statement::<B>()?).collect())
         }
     }
 
-    fn function_rest<B: Build>(&mut self, name: Option<Atom>) -> Result<B::Func, ParseError> {
-        self.expect_op("(")?;
+    fn function_rest<B: Build>(&mut self, name: Option<B::Name>) -> Result<B::Func, ParseError> {
+        self.expect_op(Op::LParen)?;
         let mut params = B::List::default();
-        if !self.eat_op(")") {
+        if !self.eat_op(Op::RParen) {
             loop {
-                push(&mut params, self.expect_ident()?);
-                if self.eat_op(")") {
+                push(&mut params, self.expect_ident::<B>()?);
+                if self.eat_op(Op::RParen) {
                     break;
                 }
-                self.expect_op(",")?;
+                self.expect_op(Op::Comma)?;
             }
         }
         B::function(self, name, params)
@@ -674,11 +795,11 @@ impl Parser<'_> {
     fn assignment_inner<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         let lhs = self.conditional::<B>()?;
         let op = match self.peek() {
-            Some(Tok::Op("=")) => None,
-            Some(Tok::Op("+=")) => Some(BinOp::Add),
-            Some(Tok::Op("-=")) => Some(BinOp::Sub),
-            Some(Tok::Op("*=")) => Some(BinOp::Mul),
-            Some(Tok::Op("/=")) => Some(BinOp::Div),
+            Some(Kind::Op(Op::Assign)) => None,
+            Some(Kind::Op(Op::AddAssign)) => Some(BinOp::Add),
+            Some(Kind::Op(Op::SubAssign)) => Some(BinOp::Sub),
+            Some(Kind::Op(Op::MulAssign)) => Some(BinOp::Mul),
+            Some(Kind::Op(Op::DivAssign)) => Some(BinOp::Div),
             _ => return Ok(lhs),
         };
         self.bump();
@@ -689,9 +810,9 @@ impl Parser<'_> {
 
     fn conditional<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         let cond = self.binary::<B>(0)?;
-        if self.eat_op("?") {
+        if self.eat_op(Op::Question) {
             let then = self.assignment::<B>()?;
-            self.expect_op(":")?;
+            self.expect_op(Op::Colon)?;
             let otherwise = self.assignment::<B>()?;
             Ok(B::cond(cond, then, otherwise))
         } else {
@@ -704,11 +825,10 @@ impl Parser<'_> {
     fn binary<B: Build>(&mut self, min: u8) -> Result<B::Expr, ParseError> {
         let mut lhs = self.unary::<B>()?;
         loop {
-            let Some(Tok::Op(op)) = self.peek() else {
+            let Some(Kind::Op(op)) = self.peek() else {
                 return Ok(lhs);
             };
-            let Some(&(_, prec, infix)) = BINARY.iter().find(|&&(o, p, _)| o == *op && p >= min)
-            else {
+            let Some((prec, infix)) = infix(op).filter(|&(prec, _)| prec >= min) else {
                 return Ok(lhs);
             };
             self.pos += 1;
@@ -725,27 +845,23 @@ impl Parser<'_> {
     }
 
     fn unary_inner<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
-        if self.eat_op("-") {
+        if self.eat_op(Op::Sub) {
             return Ok(B::unary(UnaryOp::Neg, self.unary::<B>()?));
         }
-        if self.eat_op("!") {
+        if self.eat_op(Op::Not) {
             return Ok(B::unary(UnaryOp::Not, self.unary::<B>()?));
         }
         if self.eat_kw(Keyword::Typeof) {
             return Ok(B::unary(UnaryOp::Typeof, self.unary::<B>()?));
         }
-        if self.eat_op("++") || {
-            if matches!(self.peek(), Some(Tok::Op("--"))) {
-                self.bump();
-                let place = self.place_from_postfix::<B>()?;
-                return Ok(B::inc_dec(place, false, false));
-            }
-            false
-        } {
-            let place = self.place_from_postfix::<B>()?;
-            return Ok(B::inc_dec(place, true, false));
-        }
-        self.postfix::<B>()
+        let is_inc = match self.peek() {
+            Some(Kind::Op(Op::Inc)) => true,
+            Some(Kind::Op(Op::Dec)) => false,
+            _ => return self.postfix::<B>(),
+        };
+        self.bump();
+        let place = self.place_from_postfix::<B>()?;
+        Ok(B::inc_dec(place, is_inc, false))
     }
 
     fn place_from_postfix<B: Build>(&mut self) -> Result<B::Place, ParseError> {
@@ -756,16 +872,14 @@ impl Parser<'_> {
     fn postfix<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
         let mut expr = self.call_member::<B>()?;
         loop {
-            if matches!(self.peek(), Some(Tok::Op("++")))
-                || matches!(self.peek(), Some(Tok::Op("--")))
-            {
-                let is_inc = matches!(self.peek(), Some(Tok::Op("++")));
-                self.bump();
-                let place = self.place::<B>(expr, "++/--")?;
-                expr = B::inc_dec(place, is_inc, true);
-            } else {
-                return Ok(expr);
-            }
+            let is_inc = match self.peek() {
+                Some(Kind::Op(Op::Inc)) => true,
+                Some(Kind::Op(Op::Dec)) => false,
+                _ => return Ok(expr),
+            };
+            self.bump();
+            let place = self.place::<B>(expr, "++/--")?;
+            expr = B::inc_dec(place, is_inc, true);
         }
     }
 
@@ -774,21 +888,21 @@ impl Parser<'_> {
             let callee = self.primary::<B>()?;
             // member chain before the argument list: new a.b.C(...)
             let callee = self.member_chain_only::<B>(callee)?;
-            self.expect_op("(")?;
+            self.expect_op(Op::LParen)?;
             let args = self.arguments::<B>()?;
             B::call(callee, args, true)
         } else {
             self.primary::<B>()?
         };
         loop {
-            if self.eat_op(".") {
-                let prop = self.expect_ident()?;
+            if self.eat_op(Op::Dot) {
+                let prop = self.expect_ident::<B>()?;
                 expr = B::member(expr, prop);
-            } else if self.eat_op("[") {
+            } else if self.eat_op(Op::LBracket) {
                 let key = self.expression::<B>()?;
-                self.expect_op("]")?;
+                self.expect_op(Op::RBracket)?;
                 expr = B::index(expr, key);
-            } else if self.eat_op("(") {
+            } else if self.eat_op(Op::LParen) {
                 let args = self.arguments::<B>()?;
                 expr = B::call(expr, args, false);
             } else {
@@ -798,8 +912,8 @@ impl Parser<'_> {
     }
 
     fn member_chain_only<B: Build>(&mut self, mut expr: B::Expr) -> Result<B::Expr, ParseError> {
-        while self.eat_op(".") {
-            let prop = self.expect_ident()?;
+        while self.eat_op(Op::Dot) {
+            let prop = self.expect_ident::<B>()?;
             expr = B::member(expr, prop);
         }
         Ok(expr)
@@ -807,76 +921,83 @@ impl Parser<'_> {
 
     fn arguments<B: Build>(&mut self) -> Result<B::List<B::Expr>, ParseError> {
         let mut args = B::List::default();
-        if self.eat_op(")") {
+        if self.eat_op(Op::RParen) {
             return Ok(args);
         }
         loop {
             push(&mut args, self.expression::<B>()?);
-            if self.eat_op(")") {
+            if self.eat_op(Op::RParen) {
                 return Ok(args);
             }
-            self.expect_op(",")?;
+            self.expect_op(Op::Comma)?;
         }
     }
 
     fn primary<B: Build>(&mut self) -> Result<B::Expr, ParseError> {
-        match self.bump() {
-            Some(Tok::Num(n)) => Ok(B::leaf(Expr::Num(n))),
-            Some(Tok::Str(s)) => Ok(B::leaf(Expr::Str(s))),
-            Some(Tok::Kw(Keyword::True)) => Ok(B::leaf(Expr::Bool(true))),
-            Some(Tok::Kw(Keyword::False)) => Ok(B::leaf(Expr::Bool(false))),
-            Some(Tok::Kw(Keyword::Null)) => Ok(B::leaf(Expr::Null)),
-            Some(Tok::Kw(Keyword::Undefined)) => Ok(B::leaf(Expr::Undefined)),
-            Some(Tok::Kw(Keyword::This)) => Ok(B::leaf(Expr::This)),
-            Some(Tok::Ident(name)) => Ok(B::leaf(Expr::Ident(name))),
-            Some(Tok::Kw(Keyword::Function)) => {
-                let name = if let Some(Tok::Ident(_)) = self.peek() {
-                    Some(self.expect_ident()?)
+        let tok = self.bump();
+        if let Some(t) = tok.filter(|t| matches!(t.kind, Kind::Ident | Kind::Num | Kind::Str)) {
+            return Ok(B::value(self, t));
+        }
+        match tok.map(|t| t.kind) {
+            Some(Kind::Kw(Keyword::True)) => Ok(B::leaf(Expr::Bool(true))),
+            Some(Kind::Kw(Keyword::False)) => Ok(B::leaf(Expr::Bool(false))),
+            Some(Kind::Kw(Keyword::Null)) => Ok(B::leaf(Expr::Null)),
+            Some(Kind::Kw(Keyword::Undefined)) => Ok(B::leaf(Expr::Undefined)),
+            Some(Kind::Kw(Keyword::This)) => Ok(B::leaf(Expr::This)),
+            Some(Kind::Kw(Keyword::Function)) => {
+                let name = if self.peek() == Some(Kind::Ident) {
+                    Some(self.expect_ident::<B>()?)
                 } else {
                     None
                 };
                 let def = self.function_rest::<B>(name)?;
                 Ok(B::function_expr(def))
             }
-            Some(Tok::Op("(")) => {
+            Some(Kind::Op(Op::LParen)) => {
                 let e = self.expression::<B>()?;
-                self.expect_op(")")?;
+                self.expect_op(Op::RParen)?;
                 Ok(e)
             }
-            Some(Tok::Op("{")) => {
+            Some(Kind::Op(Op::LBrace)) => {
                 let mut props = B::List::default();
-                if !self.eat_op("}") {
+                if !self.eat_op(Op::RBrace) {
                     loop {
                         let key = match self.bump() {
-                            Some(Tok::Ident(a)) => a,
-                            Some(Tok::Str(s)) => Atom::intern(&s),
-                            Some(Tok::Num(n)) => Atom::intern(&format!("{n}")),
-                            other => return Err(self.err(format!("bad object key {other:?}"))),
+                            Some(t) if matches!(t.kind, Kind::Ident | Kind::Str | Kind::Num) => {
+                                B::key(self, t)
+                            }
+                            other => {
+                                let other = self.tok(other);
+                                return Err(self.err(format!("bad object key {other:?}")));
+                            }
                         };
-                        self.expect_op(":")?;
+                        self.expect_op(Op::Colon)?;
                         push(&mut props, (key, self.expression::<B>()?));
-                        if self.eat_op("}") {
+                        if self.eat_op(Op::RBrace) {
                             break;
                         }
-                        self.expect_op(",")?;
+                        self.expect_op(Op::Comma)?;
                     }
                 }
                 Ok(B::object(props))
             }
-            Some(Tok::Op("[")) => {
+            Some(Kind::Op(Op::LBracket)) => {
                 let mut items = B::List::default();
-                if !self.eat_op("]") {
+                if !self.eat_op(Op::RBracket) {
                     loop {
                         push(&mut items, self.expression::<B>()?);
-                        if self.eat_op("]") {
+                        if self.eat_op(Op::RBracket) {
                             break;
                         }
-                        self.expect_op(",")?;
+                        self.expect_op(Op::Comma)?;
                     }
                 }
                 Ok(B::array(items))
             }
-            other => Err(self.err(format!("unexpected token {other:?}"))),
+            _ => {
+                let other = self.tok(tok);
+                Err(self.err(format!("unexpected token {other:?}")))
+            }
         }
     }
 }
