@@ -580,11 +580,6 @@ impl<'a> Parser<'a> {
         })
     }
 
-    /// The current token, as an error message prints it.
-    fn found(&self) -> Option<Tok> {
-        self.tok(self.toks.get(self.pos).copied())
-    }
-
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             message: msg.into(),
@@ -605,8 +600,8 @@ impl<'a> Parser<'a> {
         if self.eat_op(op) {
             Ok(())
         } else {
-            let op = op.text();
-            Err(self.err(format!("expected `{op}`, found {:?}", self.found())))
+            let (op, found) = (op.text(), self.tok(self.toks.get(self.pos).copied()));
+            Err(self.err(format!("expected `{op}`, found {found:?}")))
         }
     }
 

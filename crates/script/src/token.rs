@@ -196,7 +196,7 @@ pub enum Kind {
     Ident,
     /// Keyword.
     Kw(Keyword),
-    /// Numeric literal: a run of digits and at most one `.`.
+    /// Numeric literal: a digit, then digits and at most one `.`.
     Num,
     /// String literal, quotes and escapes included.
     Str,

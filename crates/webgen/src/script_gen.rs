@@ -152,10 +152,11 @@ fn literal_for(member: &str) -> &'static str {
 }
 
 /// Append `weight` inert library functions to `out`, wrapped in one
-/// never-called bundle function so the engine pays lexing and a syntax
-/// check of the bundle (the cost the compilation cache elides) but builds
-/// no tree for it and executes essentially nothing: the outer declaration
-/// hoists as a single closure and nothing inside it ever runs.
+/// never-called bundle function so the engine pays lexing and a value-free
+/// syntax check of the bundle (the cost the compilation cache elides): it
+/// reads no name, number or string in it, builds no tree for it and
+/// executes essentially nothing, since the outer declaration hoists as a
+/// single closure and nothing inside it ever runs.
 ///
 /// Real pages front-load exactly this shape of payload — large vendored
 /// bundles of which a visit executes a sliver — so the crawl benchmark

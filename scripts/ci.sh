@@ -66,9 +66,10 @@ echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 
 echo "==> cargo test --release -p bfu-script"
-# The lexer adds u32 token offsets and the deferred-body parser indexes the
-# shared source by them; only debug builds check that arithmetic for
-# overflow, so the script crate's tests run optimized too.
+# The lexer adds u32 token offsets and lengths, and the parser indexes the
+# source by both (token values and deferred bodies); only debug builds check
+# that arithmetic for overflow, so the script crate's tests run optimized
+# too.
 cargo test -q --release -p bfu-script
 
 echo "==> crawl_bench smoke (engine x cache grid fingerprints + live caches)"
